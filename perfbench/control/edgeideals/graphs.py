@@ -1,0 +1,253 @@
+"""Immutable simple graphs on vertex labels 0..n-1, with structural
+predicates and transforms.
+
+All functions here are pure; `Graph` instances never change after
+construction and are safe to share across threads.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Iterable, Sequence
+
+from .errors import ParameterRangeError
+
+
+class Graph:
+    """A finite simple graph: no loops, no multiple edges.
+
+    Vertices are the dense integers 0..n-1. Adjacency is exposed both as
+    frozensets (`neighbors`) and as integer bitmasks (`masks`), which the
+    search-heavy modules use.
+    """
+
+    __slots__ = ("_n", "_masks", "_adj", "_edges", "_hash")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if n < 0:
+            raise ParameterRangeError(f"vertex count must be >= 0, got {n}")
+        masks = [0] * n
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParameterRangeError(
+                    f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise ParameterRangeError(f"loop at vertex {u} not allowed")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._n = n
+        self._masks = tuple(masks)
+        self._adj: tuple[frozenset[int], ...] | None = None
+        self._edges: tuple[tuple[int, int], ...] | None = None
+        self._hash: int | None = None
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def m(self) -> int:
+        """Number of edges."""
+        return sum(m.bit_count() for m in self._masks) // 2
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Adjacency bitmasks: bit v of masks[u] is set iff {u,v} is an edge."""
+        return self._masks
+
+    @property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        if self._adj is None:
+            self._adj = tuple(frozenset(_bits(m)) for m in self._masks)
+        return self._adj
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Edges as sorted (u, v) pairs with u < v, in lexicographic order."""
+        if self._edges is None:
+            out = []
+            for u in range(self._n):
+                rest = self._masks[u] >> (u + 1)
+                v = u + 1
+                while rest:
+                    if rest & 1:
+                        out.append((u, v))
+                    rest >>= 1
+                    v += 1
+            self._edges = tuple(out)
+        return self._edges
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        return self.adjacency[v]
+
+    def degree(self, v: int) -> int:
+        return self._masks[v].bit_count()
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self._masks[u] >> v & 1)
+
+    def degree_sequence(self) -> tuple[int, ...]:
+        return tuple(sorted((m.bit_count() for m in self._masks), reverse=True))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self._n == other._n and self._masks == other._masks
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._n, self._masks))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self._n}, m={self.m})"
+
+
+def _bits(mask: int):
+    """Indices of set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """Relabel vertices: old vertex v becomes perm[v]. perm must be a
+    permutation of 0..n-1."""
+    if sorted(perm) != list(range(g.n)):
+        raise ParameterRangeError("perm is not a permutation of 0..n-1")
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    edges = []
+    for u in range(g.n):
+        rest = (full & ~g.masks[u] & ~(1 << u)) >> (u + 1)
+        v = u + 1
+        while rest:
+            if rest & 1:
+                edges.append((u, v))
+            rest >>= 1
+            v += 1
+    return Graph(g.n, edges)
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """Disjoint union; h's vertices are relabeled by offset g.n."""
+    off = g.n
+    edges = list(g.edges) + [(u + off, v + off) for u, v in h.edges]
+    return Graph(g.n + h.n, edges)
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Induced subgraph on the given vertices, preserving relative order."""
+    vs = sorted(set(vertices))
+    if vs and not (0 <= vs[0] and vs[-1] < g.n):
+        raise ParameterRangeError(f"vertex set out of range for n={g.n}")
+    index = {v: i for i, v in enumerate(vs)}
+    edges = [(index[u], index[v]) for u, v in g.edges
+             if u in index and v in index]
+    return Graph(len(vs), edges)
+
+
+def isolated_vertices(g: Graph) -> frozenset[int]:
+    return frozenset(v for v in range(g.n) if g.masks[v] == 0)
+
+
+def is_connected(g: Graph) -> bool:
+    if g.n <= 1:
+        return True
+    seen = 1
+    frontier = 1
+    masks = g.masks
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= masks[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
+
+
+def is_bipartite(g: Graph) -> bool:
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in _bits(g.masks[u]):
+                if color[v] == -1:
+                    color[v] = color[u] ^ 1
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return False
+    return True
+
+
+def is_gap_free(g: Graph) -> bool:
+    """True iff every two disjoint edges are joined by a third edge.
+
+    Vacuously true for graphs with fewer than two edges. For graphs with at
+    least one edge this is equivalent to induced_matching_number(g) <= 1.
+    """
+    edges = g.edges
+    masks = g.masks
+    for i, (a, b) in enumerate(edges):
+        reach = masks[a] | masks[b]
+        pair = (1 << a) | (1 << b)
+        for c, d in edges[i + 1:]:
+            if pair & ((1 << c) | (1 << d)):
+                continue
+            if not (reach >> c & 1 or reach >> d & 1):
+                return False
+    return True
+
+
+def lex_bfs_order(g: Graph) -> list[int]:
+    """Lexicographic BFS ordering (ties broken by smallest label)."""
+    sequence: list[list[int]] = [list(range(g.n))]
+    order = []
+    while sequence:
+        cell = sequence[0]
+        v = min(cell)
+        cell.remove(v)
+        if not cell:
+            sequence.pop(0)
+        order.append(v)
+        nb = g.masks[v]
+        new_seq = []
+        for s in sequence:
+            hit = [w for w in s if nb >> w & 1]
+            miss = [w for w in s if not nb >> w & 1]
+            if hit:
+                new_seq.append(hit)
+            if miss:
+                new_seq.append(miss)
+        sequence = new_seq
+    return order
+
+
+def is_chordal(g: Graph) -> bool:
+    """Chordality via LexBFS: the reverse of a LexBFS order is a perfect
+    elimination ordering iff the graph is chordal."""
+    if g.n <= 3:
+        return True
+    order = lex_bfs_order(g)
+    elim = order[::-1]
+    pos = {v: i for i, v in enumerate(elim)}
+    for v in elim:
+        later = [w for w in g.neighbors(v) if pos[w] > pos[v]]
+        if not later:
+            continue
+        w = min(later, key=pos.__getitem__)
+        rest = set(later) - {w}
+        if not rest <= g.neighbors(w):
+            return False
+    return True
