@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import covers, gio, spectrum
-from .errors import ParameterRangeError, ResourceLimitError
+from . import betti, covers, gio, spectrum
+from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
 from .graphs import Graph, is_chordal, is_gap_free, isolated_vertices, is_connected
+from .homology import GF2
 
 CANONICAL_MAX_N = 12
 ENUMERATE_MAX_N = 9
@@ -233,8 +233,7 @@ def enumerate_graphs(n: int, filter: str = "all",
 
     filter: 'all', 'no-isolated' (no isolated vertices), or 'connected'.
     """
-    limit = max_n if max_n is not None else int(
-        os.environ.get("EDGEIDEALS_MAX_ENUM_N", ENUMERATE_MAX_N))
+    limit = resolve_cap(max_n, "EDGEIDEALS_MAX_ENUM_N", ENUMERATE_MAX_N)
     if n > limit:
         raise ResourceLimitError(
             f"enumerate_graphs supports n <= {limit}, got {n}")
@@ -440,8 +439,6 @@ def verify_spectrum(n_max: int, field=None,
     """Build every legal (n, p) spectrum graph for n = 2..n_max and check
     tau_max = p, chordality and gap-freeness; for n <= homology_up_to also
     check (pd, reg) = (p, 1) through the subset-homology engine."""
-    from . import betti
-    from .homology import GF2
     field = field or GF2
     out = []
     for n in range(2, n_max + 1):
@@ -508,8 +505,6 @@ def pdr_spectrum(n: int, field=None) -> PdrSpectrumReport:
     """Compute (pd, reg) for every isolate-free isomorphism class on n
     vertices; the witness kept per pair is the first class encountered in
     enumeration order."""
-    from . import betti
-    from .homology import GF2
     field = field or GF2
     if n > PDR_SPECTRUM_MAX_N:
         raise ResourceLimitError(

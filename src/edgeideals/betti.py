@@ -8,41 +8,32 @@ shortcuts that do not change any entry:
 
 * subsets whose induced subgraph has an isolated vertex contribute nothing
   (the complex is a cone over that vertex), and
-* homology of each isolate-free induced subgraph is memoized under its
-  canonical form, shared process-wide, so isomorphic subsets are computed
-  once.
+* each remaining W is folded first: by Engstrom's fold lemma, if
+  N(u) <= N(v) for u != v then Ind(G) and Ind(G - v) are homotopy
+  equivalent, so dominated vertices are dropped from W until none is left
+  (or an isolated vertex shows a cone). Homology is then computed once per
+  folded subset, memoized for the duration of one call.
 
 The same engine run on the complex of non-covers (the Alexander dual of
-the independence complex) gives the cover-ideal side used by dual_check.
+the independence complex) gives the cover-ideal side used by dual_check;
+that side is left unfolded so the cross-check stays independent.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import covers
-from .errors import ParameterRangeError, ResourceLimitError
+from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
 from .graphs import Graph, induced_subgraph
 from .homology import (GF2, FieldSpec, SimplicialComplex, homology_dims,
                        independence_complex)
 
 DEFAULT_MAX_N = 16
-_MEMO_MAX_N = 13  # canonical-form memoization cutoff for induced subgraphs
-
-# (n, canonical bits, characteristic) -> {k: dim H~_k}; grows with use.
-_HOMOLOGY_MEMO: dict[tuple[int, int, int], dict[int, int]] = {}
-
-
-def clear_homology_memo() -> None:
-    _HOMOLOGY_MEMO.clear()
 
 
 def _resolve_max_n(max_n: int | None) -> int:
-    if max_n is not None:
-        return max_n
-    env = os.environ.get("EDGEIDEALS_MAX_BETTI_N")
-    return int(env) if env else DEFAULT_MAX_N
+    return resolve_cap(max_n, "EDGEIDEALS_MAX_BETTI_N", DEFAULT_MAX_N)
 
 
 @dataclass(frozen=True)
@@ -96,23 +87,50 @@ def _has_isolated(g: Graph, w_mask: int) -> bool:
     return False
 
 
-def _subset_graph(g: Graph, w_mask: int) -> tuple[Graph, list[int]]:
-    members = _subset_members(w_mask)
-    return induced_subgraph(g, members), members
+def _fold(masks: tuple[int, ...], w_mask: int) -> int | None:
+    """W with dominated vertices folded away, or None when Ind(G[W]) is a
+    cone over a vertex isolated in W.
+
+    v is dominated by u when N(u) & W <= N(v) & W, that is when v is
+    adjacent to every neighbour of u in W. Every v that u dominates stays
+    dominated by u once the others are gone, so they are dropped together.
+    Dropping a vertex can only let its neighbours dominate more, so only
+    they are looked at again.
+    """
+    w = todo = w_mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        nu = masks[low.bit_length() - 1] & w
+        if not nu:
+            return None
+        dominated = w ^ low
+        while nu and dominated:
+            x = nu & -nu
+            dominated &= masks[x.bit_length() - 1]
+            nu ^= x
+        if dominated:
+            w ^= dominated
+            todo &= w
+            while dominated:
+                v = dominated & -dominated
+                todo |= masks[v.bit_length() - 1] & w
+                dominated ^= v
+    return w
 
 
-def _ind_homology(g: Graph, w_mask: int, field: FieldSpec) -> dict[int, int]:
-    """Nonzero reduced homology of Ind(G[W]), memoized by canonical form."""
-    sub, members = _subset_graph(g, w_mask)
-    if sub.n <= _MEMO_MAX_N:
-        from .atlas import canonical_bits
-        key = (sub.n, canonical_bits(sub.masks, sub.n), field.characteristic)
-        hit = _HOMOLOGY_MEMO.get(key)
-        if hit is None:
-            hit = homology_dims(independence_complex(sub), field)
-            _HOMOLOGY_MEMO[key] = hit
-        return hit
-    return homology_dims(independence_complex(sub), field)
+def _ind_homology(g: Graph, w_mask: int, field: FieldSpec,
+                  memo: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Nonzero reduced homology of Ind(G[W]), memoized in `memo` by the
+    folded subset."""
+    w = _fold(g.masks, w_mask)
+    if w is None:
+        return {}
+    hit = memo.get(w)
+    if hit is None:
+        sub = induced_subgraph(g, _subset_members(w))
+        hit = memo[w] = homology_dims(independence_complex(sub), field)
+    return hit
 
 
 def hochster_summand(g: Graph, vertices, field: FieldSpec = GF2) -> dict[int, int]:
@@ -124,7 +142,7 @@ def hochster_summand(g: Graph, vertices, field: FieldSpec = GF2) -> dict[int, in
     mask = 0
     for v in w:
         mask |= 1 << v
-    return dict(_ind_homology(g, mask, field))
+    return _ind_homology(g, mask, field, {})
 
 
 def betti_table(g: Graph, field: FieldSpec = GF2,
@@ -135,11 +153,12 @@ def betti_table(g: Graph, field: FieldSpec = GF2,
             f"betti_table refuses n={g.n} > limit {limit}; raise max_n or "
             f"set EDGEIDEALS_MAX_BETTI_N to override")
     entries: dict[tuple[int, int], int] = {}
+    memo: dict[int, dict[int, int]] = {}
     for w_mask in range(1 << g.n):
         if w_mask and _has_isolated(g, w_mask):
             continue
         j = w_mask.bit_count()
-        for k, dim in _ind_homology(g, w_mask, field).items():
+        for k, dim in _ind_homology(g, w_mask, field, memo).items():
             key = (j - 1 - k, j)
             entries[key] = entries.get(key, 0) + dim
     pd = max(i for i, _ in entries)
@@ -164,6 +183,7 @@ def pd_and_reg(g: Graph, field: FieldSpec = GF2,
             f"EDGEIDEALS_MAX_BETTI_N to override")
     best_pd = 0
     best_reg = 0
+    memo: dict[int, dict[int, int]] = {}
     order = sorted(range(1 << g.n), key=lambda m: m.bit_count())
     for w_mask in order:
         j = w_mask.bit_count()
@@ -171,7 +191,7 @@ def pd_and_reg(g: Graph, field: FieldSpec = GF2,
             continue
         if w_mask and _has_isolated(g, w_mask):
             continue
-        for k, dim in _ind_homology(g, w_mask, field).items():
+        for k, dim in _ind_homology(g, w_mask, field, memo).items():
             if not dim:
                 continue
             i = j - 1 - k

@@ -35,8 +35,10 @@ def _read_graph(args) -> graphs.Graph:
     path = getattr(args, "graph", None)
     if not path:
         raise _UsageError("provide a graph via --graph FILE|- or --family SPEC")
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return gio.parse_graph(text)
+    if path == "-":
+        return gio.parse_graph(sys.stdin.read())
+    with open(path) as fh:
+        return gio.parse_graph(fh.read())
 
 
 def _field(args) -> homology.FieldSpec:

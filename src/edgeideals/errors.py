@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the resolution of the
+size caps whose violation they report."""
+
+import os
 
 
 class GraphParseError(ValueError):
@@ -18,3 +21,18 @@ class ParameterRangeError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An operation refused to run because an input exceeds its size cap."""
+
+
+def resolve_cap(max_n: int | None, env_var: str, default: int) -> int:
+    """A size cap: max_n when given, else the integer in the environment
+    variable env_var when set and non-empty, else default."""
+    if max_n is not None:
+        return max_n
+    raw = os.environ.get(env_var)
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterRangeError(
+            f"{env_var} must be an integer, got {raw!r}") from None

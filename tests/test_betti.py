@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edgeideals.atlas import enumerate_graphs, random_graph
 from edgeideals.betti import (betti_json_dict, betti_table, dual_check,
                               field_disagreements, hochster_summand,
                               pd_and_reg, proj_dim, regularity,
@@ -9,8 +12,10 @@ from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_bipartite, complete_graph,
                                  cycle_graph, path_graph, pendant_clique,
                                  two_k2)
-from edgeideals.graphs import Graph, disjoint_union, is_chordal
-from edgeideals.homology import GF2, GF3, QQ
+from edgeideals.graphs import (Graph, disjoint_union, induced_subgraph,
+                               is_chordal)
+from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, homology_dims,
+                                 independence_complex)
 from oracles import betti_table_naive
 
 # Golden tables, confirmed by the naive oracle in
@@ -18,6 +23,15 @@ from oracles import betti_table_naive
 GOLDEN_2K2 = {(0, 0): 1, (1, 2): 2, (2, 4): 1}
 GOLDEN_C4 = {(0, 0): 1, (1, 2): 4, (2, 3): 4, (3, 4): 1}
 GOLDEN_K2 = {(0, 0): 1, (1, 2): 1}
+# betti_table(random_graph(14, .3, 7)) over GF(2), computed by the engine
+# that memoized homology under canonical forms instead of folding.
+GOLDEN_G14 = {
+    (0, 0): 1, (1, 2): 31, (2, 3): 112, (2, 4): 52, (3, 4): 163,
+    (3, 5): 315, (3, 6): 13, (4, 5): 105, (4, 6): 793, (4, 7): 87,
+    (5, 6): 31, (5, 7): 1043, (5, 8): 250, (6, 7): 4, (6, 8): 789,
+    (6, 9): 399, (7, 9): 347, (7, 10): 383, (8, 10): 82, (8, 11): 224,
+    (9, 11): 8, (9, 12): 77, (10, 13): 14, (11, 14): 1,
+}
 
 
 def test_golden_tables():
@@ -59,6 +73,40 @@ def test_engine_equals_naive_oracle(small_corpus):
         assert t3.entries == betti_table_naive(g, 3)
 
 
+def test_engine_equals_naive_oracle_every_graph_to_n6():
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for c in (2, 3, 0):
+                field = FieldSpec(c)
+                t = betti_table(g, field)
+                assert t.entries == betti_table_naive(g, c), (g.edges, c)
+                assert pd_and_reg(g, field) == (t.pd, t.reg), (g.edges, c)
+
+
+@st.composite
+def graph_and_subset(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    w = [v for v in range(n) if draw(st.booleans())]
+    return Graph(n, edges), w
+
+
+@given(graph_and_subset(), st.sampled_from((2, 3, 0)))
+@settings(max_examples=80, deadline=None)
+def test_folding_keeps_homology(case, c):
+    g, w = case
+    field = FieldSpec(c)
+    unfolded = homology_dims(independence_complex(induced_subgraph(g, w)), field)
+    assert hochster_summand(g, w, field) == unfolded
+
+
+def test_g14_table_pinned_and_field_independent():
+    g = random_graph(14, .3, 7)
+    assert betti_table(g).entries == GOLDEN_G14
+    assert betti_table(g, QQ).entries == GOLDEN_G14
+
+
 def test_fast_path_matches_full_table(small_corpus):
     for g in small_corpus[:40]:
         t = betti_table(g)
@@ -77,10 +125,11 @@ def test_known_pd_reg():
 
 
 def test_pendant_clique_extremes():
-    for s in (2, 3):
-        t = betti_table(pendant_clique(s))
-        assert (t.pd, t.reg) == (2 * s - 2, 1)
-    assert pd_and_reg(pendant_clique(4)) == (6, 1)
+    for s in (2, 3, 4):
+        g = pendant_clique(s)
+        for field in (GF2, GF3, QQ):
+            t = betti_table(g, field)
+            assert pd_and_reg(g, field) == (t.pd, t.reg) == (2 * s - 2, 1)
 
 
 def test_hochster_summand():

@@ -142,3 +142,23 @@ def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("EDGEIDEALS_MAX_BETTI_N", "6")
     code, out, _ = run(capsys, "betti", "--family", "c:5")
     assert code == 0
+
+
+@pytest.mark.parametrize("var, argv", [
+    ("EDGEIDEALS_MAX_BETTI_N", ("betti", "--family", "c4")),
+    ("EDGEIDEALS_MAX_ENUM_N", ("enumerate", "--n", "3")),
+])
+def test_env_cap_not_an_integer_is_usage_error(capsys, monkeypatch, var, argv):
+    monkeypatch.setenv(var, "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and var in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_invariants_graph_file_is_closed(capsys, tmp_path):
+    path = tmp_path / "c4.g6"
+    path.write_text(to_graph6(cycle_graph(4)) + "\n")
+    code, out, _ = run(capsys, "invariants", "--graph", str(path))
+    assert code == 0 and json.loads(out)["n"] == 4
