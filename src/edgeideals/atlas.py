@@ -233,6 +233,8 @@ def enumerate_graphs(n: int, filter: str = "all",
 
     filter: 'all', 'no-isolated' (no isolated vertices), or 'connected'.
     """
+    if n < 0:
+        raise ParameterRangeError(f"vertex count must be >= 0, got {n}")
     limit = resolve_cap(max_n, "EDGEIDEALS_MAX_ENUM_N", ENUMERATE_MAX_N)
     if n > limit:
         raise ResourceLimitError(

@@ -3,8 +3,10 @@
 For a graph G on n vertices the table entry in homological degree i and
 internal degree j is the sum, over all j-subsets W of the vertices, of
 dim H~_{j-i-1} of the independence complex of G[W] over the chosen field.
-The sum is evaluated over all 2^n induced subgraphs with two exact
-shortcuts that do not change any entry:
+betti_table is the one place that sum is evaluated; pd and reg, the pair
+the cover bounds are about, are read off its table. The sum runs over all
+2^n induced subgraphs with two exact shortcuts that do not change any
+entry:
 
 * subsets whose induced subgraph has an isolated vertex contribute nothing
   (the complex is a cone over that vertex), and
@@ -14,9 +16,9 @@ shortcuts that do not change any entry:
   (or an isolated vertex shows a cone). Homology is then computed once per
   folded subset, memoized for the duration of one call.
 
-The same engine run on the complex of non-covers (the Alexander dual of
-the independence complex) gives the cover-ideal side used by dual_check;
-that side is left unfolded so the cross-check stays independent.
+The same sum run on the complex of non-covers (the Alexander dual of the
+independence complex) gives the cover-ideal side used by dual_check; that
+side keeps its own unfolded loop so the cross-check stays independent.
 """
 
 from __future__ import annotations
@@ -25,15 +27,21 @@ from dataclasses import dataclass
 
 from . import covers
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, _bits, induced_subgraph
 from .homology import (GF2, FieldSpec, SimplicialComplex, homology_dims,
                        independence_complex)
 
 DEFAULT_MAX_N = 16
 
 
-def _resolve_max_n(max_n: int | None) -> int:
-    return resolve_cap(max_n, "EDGEIDEALS_MAX_BETTI_N", DEFAULT_MAX_N)
+def _check_cap(g: Graph, max_n: int | None, what: str) -> None:
+    """Raise ResourceLimitError when g has more vertices than the subset-sum
+    cap: max_n, else EDGEIDEALS_MAX_BETTI_N, else DEFAULT_MAX_N."""
+    limit = resolve_cap(max_n, "EDGEIDEALS_MAX_BETTI_N", DEFAULT_MAX_N)
+    if g.n > limit:
+        raise ResourceLimitError(
+            f"{what} refuses n={g.n} > limit {limit}; raise max_n or set "
+            f"EDGEIDEALS_MAX_BETTI_N to override")
 
 
 @dataclass(frozen=True)
@@ -65,15 +73,6 @@ class DualReport:
     @property
     def dominates_tau(self) -> bool:
         return self.reg_dual >= self.tau_max
-
-
-def _subset_members(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _has_isolated(g: Graph, w_mask: int) -> bool:
@@ -128,7 +127,7 @@ def _ind_homology(g: Graph, w_mask: int, field: FieldSpec,
         return {}
     hit = memo.get(w)
     if hit is None:
-        sub = induced_subgraph(g, _subset_members(w))
+        sub = induced_subgraph(g, _bits(w))
         hit = memo[w] = homology_dims(independence_complex(sub), field)
     return hit
 
@@ -147,11 +146,7 @@ def hochster_summand(g: Graph, vertices, field: FieldSpec = GF2) -> dict[int, in
 
 def betti_table(g: Graph, field: FieldSpec = GF2,
                 max_n: int | None = None) -> BettiTable:
-    limit = _resolve_max_n(max_n)
-    if g.n > limit:
-        raise ResourceLimitError(
-            f"betti_table refuses n={g.n} > limit {limit}; raise max_n or "
-            f"set EDGEIDEALS_MAX_BETTI_N to override")
+    _check_cap(g, max_n, "betti_table")
     entries: dict[tuple[int, int], int] = {}
     memo: dict[int, dict[int, int]] = {}
     for w_mask in range(1 << g.n):
@@ -169,37 +164,11 @@ def betti_table(g: Graph, field: FieldSpec = GF2,
 
 def pd_and_reg(g: Graph, field: FieldSpec = GF2,
                max_n: int | None = None) -> tuple[int, int]:
-    """(projective dimension, regularity) by the same subset sum, skipping
-    subsets that provably cannot move either running maximum.
-
-    A subset of size j contributes i <= j - 1 and j - i <= j, so once both
-    bounds fall at or below the running maxima the subset is skipped; the
-    result is identical to betti_table's pd and reg.
-    """
-    limit = _resolve_max_n(max_n)
-    if g.n > limit:
-        raise ResourceLimitError(
-            f"pd/reg refuses n={g.n} > limit {limit}; raise max_n or set "
-            f"EDGEIDEALS_MAX_BETTI_N to override")
-    best_pd = 0
-    best_reg = 0
-    memo: dict[int, dict[int, int]] = {}
-    order = sorted(range(1 << g.n), key=lambda m: m.bit_count())
-    for w_mask in order:
-        j = w_mask.bit_count()
-        if j - 1 <= best_pd and j <= best_reg:
-            continue
-        if w_mask and _has_isolated(g, w_mask):
-            continue
-        for k, dim in _ind_homology(g, w_mask, field, memo).items():
-            if not dim:
-                continue
-            i = j - 1 - k
-            if i > best_pd:
-                best_pd = i
-            if j - i > best_reg:
-                best_reg = j - i
-    return best_pd, best_reg
+    """(projective dimension, regularity) of S/I(G), read off betti_table:
+    there is one subset sum, and pd and reg are the largest i and j - i
+    among its nonzero entries."""
+    t = betti_table(g, field, max_n)
+    return t.pd, t.reg
 
 
 def proj_dim(g: Graph, field: FieldSpec = GF2, max_n: int | None = None) -> int:
@@ -215,7 +184,7 @@ def _noncover_complex(g: Graph, w_mask: int) -> SimplicialComplex:
     restriction to W of the Alexander dual of the independence complex).
     Supersets of covers are covers, so the backtracking prunes there."""
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    members = _subset_members(w_mask)
+    members = _bits(w_mask)
     by_dim: dict[int, list[tuple[int, ...]]] = {}
     if edge_masks:
         by_dim[-1] = [()]
@@ -246,10 +215,7 @@ def dual_regularity(g: Graph, field: FieldSpec = GF2,
     dual of the edge ideal), via the same subset-homology sum run on the
     non-cover complex. Returns reg of the ideal, i.e. reg of the quotient
     plus one."""
-    limit = _resolve_max_n(max_n)
-    if g.n > limit:
-        raise ResourceLimitError(
-            f"dual_regularity refuses n={g.n} > limit {limit}")
+    _check_cap(g, max_n, "dual_regularity")
     if isolated := [v for v in range(g.n) if not g.masks[v]]:
         raise ParameterRangeError(
             f"dual side needs an isolate-free graph; isolated: {isolated}")
@@ -257,7 +223,6 @@ def dual_regularity(g: Graph, field: FieldSpec = GF2,
         raise ParameterRangeError("dual side needs at least one edge")
     reg_quotient = 0
     for w_mask in range(1 << g.n):
-        j = w_mask.bit_count()
         for k, dim in homology_dims(_noncover_complex(g, w_mask), field).items():
             if dim and (k + 1) > reg_quotient:
                 reg_quotient = k + 1

@@ -112,8 +112,8 @@ def _cmd_verify(args) -> int:
         print(rep.json_line())
         bad = bool(rep.mismatches)
     elif args.what == "spectrum":
-        checks = atlas.verify_spectrum(args.n, _field(args),
-                                       homology_up_to=args.max_n or 14)
+        up_to = 14 if args.max_n is None else args.max_n
+        checks = atlas.verify_spectrum(args.n, _field(args), homology_up_to=up_to)
         for check in checks:
             print(check.json_line())
             bad |= not check.ok

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -73,24 +73,15 @@ def _mis_masks(g: Graph) -> Iterator[int]:
 
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All maximal independent sets, sorted lexicographically."""
-    return sorted(_mask_to_tuple(m) for m in _mis_masks(g))
+    return sorted(_bits(m) for m in _mis_masks(g))
 
 
 def enumerate_minimal_covers(g: Graph) -> Iterator[tuple[int, ...]]:
     """Yield every minimal vertex cover exactly once, as a sorted vertex
     tuple, in lexicographic order of those tuples."""
     full = (1 << g.n) - 1
-    covers = sorted(_mask_to_tuple(full & ~m) for m in _mis_masks(g))
+    covers = sorted(_bits(full & ~m) for m in _mis_masks(g))
     return iter(covers)
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def cover_report(g: Graph) -> CoverReport:
@@ -100,12 +91,12 @@ def cover_report(g: Graph) -> CoverReport:
     for mis in _mis_masks(g):
         count += 1
         cover = full & ~mis
-        key = (-cover.bit_count(), _mask_to_tuple(cover))
+        key = (-cover.bit_count(), _bits(cover))
         if best_cover is None or key < best_key:
             best_cover, best_key = cover, key
     assert best_cover is not None
-    witness_cover = _mask_to_tuple(best_cover)
-    witness_independent = _mask_to_tuple(full & ~best_cover)
+    witness_cover = _bits(best_cover)
+    witness_independent = _bits(full & ~best_cover)
     return CoverReport(
         tau_max=len(witness_cover),
         i_min=g.n - len(witness_cover),

@@ -89,33 +89,36 @@ def extremal_pendant_clique(n: int) -> Graph:
     return Graph(n, edges)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family together with its numeric parameters."""
-
-    kind: str
-    params: tuple[int, ...] = ()
-
-    def __str__(self) -> str:
-        return self.kind + (":" + ",".join(map(str, self.params))
-                            if self.params else "")
-
-
-# kind -> (number of parameters, constructor); spectrum kinds are resolved
-# lazily to avoid an import cycle with the spectrum module.
+# kind -> number of parameters
 _ARITY = {
     "hs": 1, "gn": 1, "k": 1, "kb": 2, "c": 1, "p": 1, "2k2": 0,
     "spectrum": 2, "pdr": 3,
 }
 
 
+@dataclass(frozen=True)
+class FamilySpec:
+    """A named family together with its numeric parameters; the kind and
+    the number of parameters are checked at construction."""
+
+    kind: str
+    params: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in _ARITY:
+            raise ParameterRangeError(f"unknown family kind {self.kind!r}")
+        if len(self.params) != _ARITY[self.kind]:
+            raise ParameterRangeError(
+                f"family {self.kind!r} takes {_ARITY[self.kind]} "
+                f"parameter(s), got {len(self.params)}")
+
+    def __str__(self) -> str:
+        return self.kind + (":" + ",".join(map(str, self.params))
+                            if self.params else "")
+
+
 def build_family(spec: FamilySpec) -> Graph:
     kind, params = spec.kind, spec.params
-    if kind not in _ARITY:
-        raise ParameterRangeError(f"unknown family kind {kind!r}")
-    if len(params) != _ARITY[kind]:
-        raise ParameterRangeError(
-            f"family {kind!r} takes {_ARITY[kind]} parameter(s), got {len(params)}")
     if kind == "hs":
         return pendant_clique(*params)
     if kind == "gn":
@@ -130,7 +133,7 @@ def build_family(spec: FamilySpec) -> Graph:
         return path_graph(*params)
     if kind == "2k2":
         return two_k2()
-    from . import spectrum
+    from . import spectrum  # imported here: spectrum imports this module
     if kind == "spectrum":
         return spectrum.build_spectrum_graph(*params)
     return spectrum.build_pdr_graph(*params)
@@ -152,9 +155,4 @@ def parse_family(text: str) -> FamilySpec:
     params = tuple(int(x) for x in re.split(r"[ ,]", m.group(2)))
     if kind == "k" and len(params) == 2:
         kind = "kb"
-    if kind not in _ARITY:
-        raise ParameterRangeError(f"unknown family kind {kind!r}")
-    if len(params) != _ARITY[kind]:
-        raise ParameterRangeError(
-            f"family {kind!r} takes {_ARITY[kind]} parameter(s), got {len(params)}")
     return FamilySpec(kind, params)

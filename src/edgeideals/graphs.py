@@ -103,12 +103,14 @@ class Graph:
         return f"Graph(n={self._n}, m={self.m})"
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> tuple[int, ...]:
     """Indices of set bits, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

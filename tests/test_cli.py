@@ -110,6 +110,13 @@ def test_verify_spectrum(capsys):
     assert all(r["ok"] for r in recs)
 
 
+def test_verify_spectrum_max_n_zero_skips_homology(capsys):
+    code, out, _ = run(capsys, "verify", "spectrum", "--n", "4", "--max-n", "0")
+    lines = out.strip().splitlines()
+    assert code == 0 and lines
+    assert all('"pd": null' in line for line in lines)
+
+
 def test_exit_codes(capsys, tmp_path):
     # usage: unknown family
     code, _, err = run(capsys, "invariants", "--family", "bogus:3")
@@ -162,3 +169,13 @@ def test_invariants_graph_file_is_closed(capsys, tmp_path):
     path.write_text(to_graph6(cycle_graph(4)) + "\n")
     code, out, _ = run(capsys, "invariants", "--graph", str(path))
     assert code == 0 and json.loads(out)["n"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "-1"),
+    ("verify", "pdr-spec", "--n", "-1"),
+])
+def test_negative_n_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1

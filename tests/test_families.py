@@ -89,6 +89,12 @@ def test_build_family_dispatch():
         build_family(FamilySpec("nope", ()))
 
 
+@pytest.mark.parametrize("args", [("c", (4, 5)), ("nope",)])
+def test_family_spec_checked_at_construction(args):
+    with pytest.raises(ParameterRangeError):
+        FamilySpec(*args)
+
+
 @pytest.mark.parametrize("text,expect", [
     ("c4", FamilySpec("c", (4,))),
     ("hs:5", FamilySpec("hs", (5,))),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from edgeideals.errors import ParameterRangeError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
-from edgeideals.graphs import (Graph, complement, disjoint_union,
+from edgeideals.graphs import (Graph, _bits, complement, disjoint_union,
                                induced_subgraph, is_bipartite, is_chordal,
                                is_connected, is_gap_free, isolated_vertices,
                                relabel)
@@ -59,6 +59,14 @@ def test_degenerate_sizes_are_legal():
 @settings(max_examples=60, deadline=None)
 def test_complement_involution(g):
     assert complement(complement(g)) == g
+
+
+@given(st.integers(0, (1 << 12) - 1))
+def test_bits_ascending_and_rebuilds_mask(mask):
+    bits = _bits(mask)
+    assert isinstance(bits, tuple)
+    assert all(a < b for a, b in zip(bits, bits[1:]))
+    assert sum(1 << b for b in bits) == mask
 
 
 def test_complement_of_complete_is_empty():
