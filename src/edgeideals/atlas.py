@@ -347,6 +347,9 @@ def verify_bound(n_max: int, exhaustive: bool = True,
     tau >= ceil(2*sqrt(n) - 2) iff (tau + 2)^2 >= 4n."""
     if not exhaustive and (samples is None or seed is None):
         raise ParameterRangeError("sampled mode needs samples and seed")
+    if not exhaustive and samples < 1:
+        raise ParameterRangeError(
+            f"sampled mode needs samples >= 1, got {samples}")
     reports = []
     for n in range(2, n_max + 1):
         source = (enumerate_graphs(n, "no-isolated") if exhaustive
@@ -387,11 +390,10 @@ class ClassificationReport:
 def verify_classification(n: int) -> ClassificationReport:
     """For perfect squares n (4 or 9 at desk scale): tau_max equals
     2*sqrt(n) - 2 exactly for the recognized families, in both directions."""
-    s = math.isqrt(n)
-    if s * s != n or n not in (4, 9):
+    if n not in (4, 9):
         raise ParameterRangeError(
             f"classification check supports n in {{4, 9}}, got {n}")
-    target = 2 * s - 2
+    target = 2 * math.isqrt(n) - 2
     visited = 0
     equality = []
     tags = []
@@ -436,8 +438,12 @@ class SpectrumCheck:
                            "pd": self.pd, "reg": self.reg, "ok": self.ok})
 
 
+SPECTRUM_HOMOLOGY_MAX_N = 14
+
+
 def verify_spectrum(n_max: int, field=None,
-                    homology_up_to: int = 14) -> list[SpectrumCheck]:
+                    homology_up_to: int = SPECTRUM_HOMOLOGY_MAX_N
+                    ) -> list[SpectrumCheck]:
     """Build every legal (n, p) spectrum graph for n = 2..n_max and check
     tau_max = p, chordality and gap-freeness; for n <= homology_up_to also
     check (pd, reg) = (p, 1) through the subset-homology engine."""
@@ -508,6 +514,8 @@ def pdr_spectrum(n: int, field=None) -> PdrSpectrumReport:
     vertices; the witness kept per pair is the first class encountered in
     enumeration order."""
     field = field or GF2
+    if n < 2:
+        raise ParameterRangeError(f"pdr_spectrum needs n >= 2, got {n}")
     if n > PDR_SPECTRUM_MAX_N:
         raise ResourceLimitError(
             f"pdr_spectrum supports n <= {PDR_SPECTRUM_MAX_N}, got {n}")

@@ -16,9 +16,12 @@ entry:
   (or an isolated vertex shows a cone). Homology is then computed once per
   folded subset, memoized for the duration of one call.
 
-The same sum run on the complex of non-covers (the Alexander dual of the
-independence complex) gives the cover-ideal side used by dual_check; that
-side keeps its own unfolded loop so the cross-check stays independent.
+dual_regularity gives the cover-ideal side used by dual_check: the same
+sum over the complex of non-covers (the Alexander dual of the independence
+complex). There only vertex covers W contribute, since a non-cover W
+restricts to the full simplex on W, and the complex over a cover W is
+generated by the sets W - e, one per edge e. That side shares only
+homology_dims with betti_table, so the cross-check stays independent.
 """
 
 from __future__ import annotations
@@ -179,53 +182,34 @@ def regularity(g: Graph, field: FieldSpec = GF2, max_n: int | None = None) -> in
     return pd_and_reg(g, field, max_n)[1]
 
 
-def _noncover_complex(g: Graph, w_mask: int) -> SimplicialComplex:
-    """Faces are the subsets of W that fail to cover some edge of g (the
-    restriction to W of the Alexander dual of the independence complex).
-    Supersets of covers are covers, so the backtracking prunes there."""
-    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    members = _bits(w_mask)
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    if edge_masks:
-        by_dim[-1] = [()]
-    current: list[int] = []
-
-    def is_noncover(mask: int) -> bool:
-        return any(not em & mask for em in edge_masks)
-
-    def extend(start: int, mask: int):
-        for idx in range(start, len(members)):
-            v = members[idx]
-            m2 = mask | 1 << v
-            if not is_noncover(m2):
-                continue
-            current.append(v)
-            by_dim.setdefault(len(current) - 1, []).append(tuple(current))
-            extend(idx + 1, m2)
-            current.pop()
-
-    if edge_masks:
-        extend(0, 0)
-    return SimplicialComplex(by_dim)
-
-
 def dual_regularity(g: Graph, field: FieldSpec = GF2,
                     max_n: int | None = None) -> int:
     """Castelnuovo-Mumford regularity of the cover ideal (the Alexander
-    dual of the edge ideal), via the same subset-homology sum run on the
-    non-cover complex. Returns reg of the ideal, i.e. reg of the quotient
-    plus one."""
+    dual of the edge ideal), via the subset-homology sum run on the complex
+    of non-covers restricted to each W. Returns reg of the ideal, i.e. reg
+    of the quotient plus one.
+
+    Only vertex covers W are visited. If W misses an edge, so does every
+    subset of W, so the restriction is the full simplex on W: no reduced
+    homology for W nonempty, and for W empty only H~_{-1}, which gives
+    reg 0, the start value. Over a cover W the faces are the subsets of W
+    that miss some edge e, so the sets W - e generate the complex.
+    """
     _check_cap(g, max_n, "dual_regularity")
     if isolated := [v for v in range(g.n) if not g.masks[v]]:
         raise ParameterRangeError(
             f"dual side needs an isolate-free graph; isolated: {isolated}")
     if g.n == 0:
         raise ParameterRangeError("dual side needs at least one edge")
+    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     reg_quotient = 0
     for w_mask in range(1 << g.n):
-        for k, dim in homology_dims(_noncover_complex(g, w_mask), field).items():
-            if dim and (k + 1) > reg_quotient:
-                reg_quotient = k + 1
+        if not all(em & w_mask for em in edge_masks):
+            continue
+        cx = SimplicialComplex.from_facets(_bits(w_mask & ~em)
+                                           for em in edge_masks)
+        for k in homology_dims(cx, field):
+            reg_quotient = max(reg_quotient, k + 1)
     return reg_quotient + 1
 
 

@@ -112,7 +112,8 @@ def _cmd_verify(args) -> int:
         print(rep.json_line())
         bad = bool(rep.mismatches)
     elif args.what == "spectrum":
-        up_to = 14 if args.max_n is None else args.max_n
+        up_to = (atlas.SPECTRUM_HOMOLOGY_MAX_N if args.max_n is None
+                 else args.max_n)
         checks = atlas.verify_spectrum(args.n, _field(args), homology_up_to=up_to)
         for check in checks:
             print(check.json_line())
@@ -190,7 +191,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--char", type=int, default=2)
     p.add_argument("--max-n", type=int, default=None,
-                   help="homology cutoff for verify spectrum (default 14)")
+                   help="homology cutoff for verify spectrum (default "
+                        f"{atlas.SPECTRUM_HOMOLOGY_MAX_N})")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=_cmd_verify)
     return parser

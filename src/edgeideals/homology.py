@@ -17,6 +17,7 @@ rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable
 
 from .errors import ParameterRangeError
@@ -71,8 +72,8 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, facets: Iterable[tuple[int, ...]]) -> "SimplicialComplex":
-        """Downward closure of the given faces (tests and small examples)."""
-        from itertools import combinations
+        """The complex generated by the given faces, which need not be
+        maximal: their downward closure, sorted within each dimension."""
         seen: set[tuple[int, ...]] = set()
         for f in facets:
             f = tuple(sorted(f))
@@ -95,9 +96,6 @@ class SimplicialComplex:
     @property
     def is_void(self) -> bool:
         return not self.faces_by_dim
-
-    def f_vector(self) -> dict[int, int]:
-        return {k: len(faces) for k, faces in self.faces_by_dim.items()}
 
     def face_count(self, k: int) -> int:
         return len(self.faces_by_dim.get(k, ()))
@@ -247,10 +245,7 @@ def homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict[int, in
 def reduced_homology_dim(cx: SimplicialComplex, k: int,
                          field: FieldSpec = GF2) -> int:
     """dim H~_k(cx; field); 0 for any k outside the complex's range."""
-    if cx.is_void or k < -1 or k > cx.dim:
-        return 0
-    return (cx.face_count(k) - _boundary_rank(cx, k, field)
-            - _boundary_rank(cx, k + 1, field))
+    return homology_dims(cx, field).get(k, 0)
 
 
 def reduced_euler_characteristic(cx: SimplicialComplex) -> int:

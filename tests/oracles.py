@@ -174,3 +174,14 @@ def betti_table_naive(g: Graph, characteristic: int = 2) -> dict[tuple[int, int]
             key = (len(w) - 1 - k, len(w))
             entries[key] = entries.get(key, 0) + dim
     return entries
+
+
+def dual_regularity_naive(g: Graph, characteristic: int = 2) -> int:
+    """reg of the cover ideal: the subset-homology sum over the non-cover
+    complex, every subset W visited, faces found by the cover test."""
+    reg_quotient = 0
+    for w in all_subsets(range(g.n)):
+        faces = [s for s in all_subsets(w) if not is_cover(g, s)]
+        for k in homology_dims_naive(faces, characteristic):
+            reg_quotient = max(reg_quotient, k + 1)
+    return reg_quotient + 1

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from edgeideals.atlas import enumerate_graphs, random_graph
 from edgeideals.betti import (betti_json_dict, betti_table, dual_check,
-                              field_disagreements, hochster_summand,
-                              pd_and_reg, proj_dim, regularity,
-                              render_betti_ascii)
+                              dual_regularity, field_disagreements,
+                              hochster_summand, pd_and_reg, proj_dim,
+                              regularity, render_betti_ascii)
 from edgeideals.covers import induced_matching_number, matching_number, tau_max
 from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_bipartite, complete_graph,
@@ -16,7 +16,7 @@ from edgeideals.graphs import (Graph, disjoint_union, induced_subgraph,
                                is_chordal)
 from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, homology_dims,
                                  independence_complex)
-from oracles import betti_table_naive
+from oracles import betti_table_naive, dual_regularity_naive
 
 # Golden tables, confirmed by the naive oracle in
 # test_goldens_confirmed_by_naive_oracle before being frozen here.
@@ -173,6 +173,14 @@ def test_dual_check_rejects_isolates():
         dual_check(Graph(3, [(0, 1)]))
     with pytest.raises(ParameterRangeError):
         dual_check(Graph(1))
+
+
+def test_dual_regularity_equals_naive_oracle():
+    for n in range(2, 7):
+        for g in enumerate_graphs(n, "no-isolated"):
+            for c in ((2, 3, 0) if n <= 5 else (2,)):
+                assert (dual_regularity(g, FieldSpec(c))
+                        == dual_regularity_naive(g, c)), (g.edges, c)
 
 
 def test_terai_on_corpus(isolate_free_corpus):

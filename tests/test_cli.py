@@ -179,3 +179,16 @@ def test_negative_n_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "Traceback" not in err
     assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "classification", "--n", "-1"),
+    ("verify", "pdr-spec", "--n", "0"),
+    ("verify", "pdr-spec", "--n", "1"),
+    ("verify", "bound", "--n", "3", "--samples", "-2", "--seed", "1"),
+    ("verify", "bound", "--n", "3", "--samples", "0", "--seed", "1"),
+])
+def test_out_of_range_verify_argument_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1
