@@ -345,6 +345,8 @@ def verify_bound(n_max: int, exhaustive: bool = True,
     isolate-free graphs for n = 2..n_max: exhaustively over isomorphism
     classes, or on seeded random samples. Comparisons are integer-exact:
     tau >= ceil(2*sqrt(n) - 2) iff (tau + 2)^2 >= 4n."""
+    if n_max < 2:
+        raise ParameterRangeError(f"verify_bound needs n_max >= 2, got {n_max}")
     if not exhaustive and (samples is None or seed is None):
         raise ParameterRangeError("sampled mode needs samples and seed")
     if not exhaustive and samples < 1:
@@ -447,6 +449,9 @@ def verify_spectrum(n_max: int, field=None,
     """Build every legal (n, p) spectrum graph for n = 2..n_max and check
     tau_max = p, chordality and gap-freeness; for n <= homology_up_to also
     check (pd, reg) = (p, 1) through the subset-homology engine."""
+    if n_max < 2:
+        raise ParameterRangeError(
+            f"verify_spectrum needs n_max >= 2, got {n_max}")
     field = field or GF2
     out = []
     for n in range(2, n_max + 1):

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive and shares no code with the package
 internals: subset scans, dense matrices, Fraction arithmetic, no bitsets,
-no memoization, no shortcuts.
+no memoization, no shortcuts. The one exception is `matching_branching`,
+an exact memoized branching search on vertex bitmasks: it is independent
+of the package's blossom algorithm and, unlike the edge-subset scan, fast
+enough to check matchings up to n of about 18.
 """
 
 from __future__ import annotations
@@ -43,6 +46,44 @@ def matching_bruteforce(g: Graph) -> int:
         if len(set(verts)) == 2 * len(chosen):
             best = max(best, len(chosen))
     return best
+
+
+def matching_branching(g: Graph) -> int:
+    """Matching number by branching on the lowest non-isolated vertex v of
+    the remaining vertex set: leave v unmatched, or match it to each
+    remaining neighbour. Memoized on the remaining-vertex mask, so time and
+    memory grow exponentially and recursion is as deep as n."""
+    masks = g.masks
+    memo: dict[int, int] = {}
+
+    def rec(avail: int) -> int:
+        v = -1
+        pool = avail
+        while pool:
+            low = pool & -pool
+            u = low.bit_length() - 1
+            if masks[u] & avail:
+                v = u
+                break
+            pool ^= low
+        if v == -1:
+            return 0
+        cached = memo.get(avail)
+        if cached is not None:
+            return cached
+        rest = avail & ~(1 << v)
+        best = rec(rest)  # leave v unmatched
+        nb = masks[v] & avail
+        while nb:
+            low = nb & -nb
+            cand = 1 + rec(rest & ~low)
+            if cand > best:
+                best = cand
+            nb ^= low
+        memo[avail] = best
+        return best
+
+    return rec((1 << g.n) - 1)
 
 
 def induced_matching_bruteforce(g: Graph) -> int:

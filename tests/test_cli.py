@@ -187,6 +187,11 @@ def test_negative_n_is_usage_error(capsys, argv):
     ("verify", "pdr-spec", "--n", "1"),
     ("verify", "bound", "--n", "3", "--samples", "-2", "--seed", "1"),
     ("verify", "bound", "--n", "3", "--samples", "0", "--seed", "1"),
+    ("verify", "bound", "--n", "1", "--exhaustive"),
+    ("verify", "bound", "--n", "-5", "--exhaustive"),
+    ("verify", "bound", "--n", "1", "--samples", "3", "--seed", "1"),
+    ("verify", "spectrum", "--n", "1"),
+    ("verify", "spectrum", "--n", "-3"),
 ])
 def test_out_of_range_verify_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeideals.covers import (cover_report, enumerate_minimal_covers,
+from edgeideals.atlas import enumerate_graphs, random_graph
+from edgeideals.covers import (_maximum_matching, cover_report,
+                               enumerate_minimal_covers,
                                induced_matching_number,
                                is_minimal_vertex_cover, is_vertex_cover,
                                matching_number, maximal_independent_sets,
@@ -10,9 +12,10 @@ from edgeideals.covers import (cover_report, enumerate_minimal_covers,
 from edgeideals.families import (complete_graph, complete_bipartite,
                                  cycle_graph, extremal_pendant_clique,
                                  path_graph, pendant_clique, two_k2)
+from edgeideals.gio import from_graph6
 from edgeideals.graphs import Graph, is_gap_free, isolated_vertices
-from oracles import (induced_matching_bruteforce, matching_bruteforce,
-                     minimal_covers_bruteforce)
+from oracles import (induced_matching_bruteforce, matching_branching,
+                     matching_bruteforce, minimal_covers_bruteforce)
 
 
 def test_c4_minimal_covers():
@@ -107,6 +110,56 @@ def test_matching_against_bruteforce(small_corpus):
             assert induced_matching_number(g) == induced_matching_bruteforce(g)
 
 
+def test_matching_equals_branching_oracle_every_graph_to_n7():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert matching_number(g) == matching_branching(g), g.edges
+
+
+def test_matching_equals_branching_oracle_random():
+    for n in range(8, 19):
+        for p in (0.15, 0.3, 0.5, 0.8):
+            for seed in range(20):
+                g = random_graph(n, p, seed)
+                assert matching_number(g) == matching_branching(g), (n, p, seed)
+
+
+# C5 on 0..4 with the spokes i -- i + 5; the pentagram on 5..9 completes
+# the Petersen graph.
+C5_WITH_SPOKES = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+PENTAGRAM = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+
+
+# Graphs whose maximum matching needs an odd cycle contracted. GSGW@G, the
+# sample random_graph(8, .2, 194) with the 5-cycle 0-2-4-5-3, has nu = 3,
+# but a search that skips contraction stops at 2 from the greedy start.
+# SPARSE_30 is random_graph(30, .1, 37): nu = 14, but a search that marks
+# only one side of a closed cycle as contracted stops at 13.
+SPARSE_30 = ("]P@_?`_?BG`G?E?@???g????G_?G@OOaA??_e????_??_??K@??A?@????oB???C"
+             "????AD????")
+BLOSSOM_CASES = [
+    ("petersen", Graph(10, C5_WITH_SPOKES + PENTAGRAM), 5),
+    ("c5_with_pendants", Graph(10, C5_WITH_SPOKES), 5),
+    ("triangles_joined_by_p2",
+     Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)]), 3),
+    ("GSGW@G", from_graph6("GSGW@G"), 3),
+    ("sparse_30", from_graph6(SPARSE_30), 14),
+    *((f"pendant_clique_{s}", pendant_clique(s), s) for s in range(2, 7)),
+]
+
+
+@pytest.mark.parametrize("g,nu", [case[1:] for case in BLOSSOM_CASES],
+                         ids=[case[0] for case in BLOSSOM_CASES])
+def test_matching_blossom_graphs_pinned(g, nu):
+    assert matching_branching(g) == nu
+    assert matching_number(g) == nu
+
+
+def test_matching_scales_without_recursion():
+    assert matching_number(path_graph(2000)) == 1000
+    assert matching_number(cycle_graph(3001)) == 1500
+
+
 def test_induced_matching_le_matching(small_corpus):
     for g in small_corpus:
         assert induced_matching_number(g) <= matching_number(g)
@@ -134,8 +187,8 @@ def test_witnesses_survive_edge_addition(small_corpus):
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(2, 7))
+def graphs(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
     return Graph(n, edges)
@@ -147,3 +200,14 @@ def test_every_enumerated_cover_is_minimal(g):
     for c in enumerate_minimal_covers(g):
         assert is_vertex_cover(g, c)
         assert is_minimal_vertex_cover(g, c)
+
+
+@given(graphs(max_n=10))
+@settings(max_examples=100, deadline=None)
+def test_maximum_matching_is_a_maximum_matching_of_g(g):
+    pairs = _maximum_matching(g)
+    assert pairs == sorted(pairs)
+    assert all(u < v and g.has_edge(u, v) for u, v in pairs)
+    ends = [x for e in pairs for x in e]
+    assert len(set(ends)) == len(ends)
+    assert len(pairs) == matching_number(g) == matching_branching(g)
