@@ -3,10 +3,16 @@ recognition, and the theorem-verification harnesses.
 
 The canonical form of a graph is the minimum, over all vertex relabelings,
 of the upper-triangular adjacency bitstring read in graph6 column-major
-order (bit for (0,1) most significant). It is computed by a depth-first
-placement search with prefix pruning, twin skipping, and a
-degree-refinement seed ordering; no third-party canonical-labeling tool is
-involved.
+order (bit for (0,1) most significant). It is computed by
+individualization-refinement: a depth-first search over equitable ordered
+partitions that treats cells of mutual twins as discrete and skips a
+target-cell vertex when an automorphism found so far, fixing the vertices
+already individualized, maps it onto a tried one.
+Every leaf's bitstring is built in full and compared; there is no prefix
+pruning. No third-party canonical-labeling tool is involved.
+
+The isomorph-free atlas grows each level from the one below by adding a
+vertex, trying one attachment set per automorphism orbit of the parent.
 """
 
 from __future__ import annotations
@@ -100,8 +106,13 @@ def _refine(cells: list[list[int]], masks: tuple[int, ...]) -> list[list[int]]:
 
 
 def canonical_bits(masks: tuple[int, ...], n: int) -> int:
-    """Minimum adjacency bitstring over all vertex relabelings, by
-    individualization-refinement.
+    """Minimum adjacency bitstring over all vertex relabelings."""
+    return _canonical_search(masks, n)[0]
+
+
+def _canonical_search(masks: tuple[int, ...], n: int
+                      ) -> tuple[int, list[tuple[int, ...]]]:
+    """Canonical bits and automorphisms, by individualization-refinement.
 
     Each search node holds an equitable ordered partition; the first
     non-singleton cell that is not a class of mutual twins is the target,
@@ -111,9 +122,13 @@ def canonical_bits(masks: tuple[int, ...], n: int) -> int:
     discrete: any ordering inside a twin cell yields the same bitstring.
     Leaves emit the packed upper triangle; equal-to-best leaves contribute
     automorphisms that feed the orbit pruning.
+
+    The automorphisms are returned as perms (vertex v maps to perm[v]):
+    the twin transpositions plus at most 128 found at leaves. They generate
+    a subgroup of Aut(G), usually all of it.
     """
     if n <= 1:
-        return 0
+        return 0, []
     twin_rep = _twin_classes(masks, n)
     auts: list[tuple[int, ...]] = []
     for v in range(n):
@@ -181,7 +196,7 @@ def canonical_bits(masks: tuple[int, ...], n: int) -> int:
 
     node(_refine([list(range(n))], masks), ())
     assert best is not None
-    return best
+    return best, auts
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -198,10 +213,49 @@ def canonical_form(g: Graph) -> CanonicalForm:
 _ATLAS_CACHE: dict[int, list[Graph]] = {0: [Graph(0)]}
 
 
+def _orbit_least_masks(auts: list[tuple[int, ...]], n: int) -> list[int]:
+    """The masks on vertices 0..n-1 that are least in their orbit under the
+    group the perms `auts` generate, in ascending order."""
+    size = 1 << n
+    if not auts:
+        return list(range(size))
+    images = []
+    for a in auts:
+        img = [0] * size
+        for m in range(1, size):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << a[low.bit_length() - 1]
+        images.append(img)
+    visited = bytearray(size)
+    least = []
+    for m in range(size):
+        if visited[m]:
+            continue
+        least.append(m)
+        visited[m] = 1
+        stack = [m]
+        while stack:
+            x = stack.pop()
+            for img in images:
+                y = img[x]
+                if not visited[y]:
+                    visited[y] = 1
+                    stack.append(y)
+    return least
+
+
 def _atlas_level(n: int) -> list[Graph]:
     """One representative per isomorphism class on exactly n vertices,
     grown by vertex augmentation from the (n-1)-level with canonical-form
-    deduplication. Cached per process."""
+    deduplication. Cached per process.
+
+    Each parent gets a new vertex n-1 joined to an attachment set. Only the
+    sets least in their orbit under Aut(parent) are tried, in ascending
+    mask order (orbit pruning, after McKay, *Isomorph-free exhaustive
+    generation*, J. Algorithms 26, 1998). The first child met for each
+    class, and so every representative and its position, is the same as
+    when all 2^(n-1) sets are tried.
+    """
     cached = _ATLAS_CACHE.get(n)
     if cached is not None:
         return cached
@@ -211,7 +265,15 @@ def _atlas_level(n: int) -> list[Graph]:
     new = n - 1
     for parent in parents:
         base = parent.edges
-        for attach in range(1 << new):
+        # A set A and its image under an automorphism a of the parent give
+        # isomorphic children (extend a by fixing the new vertex), and the
+        # least set of the orbit comes first in this loop, so each skipped
+        # set would have hit `seen`. If the search's cap of 128 stored
+        # automorphisms binds, the perms generate a subgroup with finer
+        # orbits: more sets are tried, and `seen` still keeps the same
+        # first child.
+        auts = _canonical_search(parent.masks, new)[1]
+        for attach in _orbit_least_masks(auts, new):
             edges = list(base)
             m = attach
             while m:

@@ -1,11 +1,13 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive and shares no code with the package
-internals: subset scans, dense matrices, Fraction arithmetic, no bitsets,
-no memoization, no shortcuts. The one exception is `matching_branching`,
-an exact memoized branching search on vertex bitmasks: it is independent
-of the package's blossom algorithm and, unlike the edge-subset scan, fast
-enough to check matchings up to n of about 18.
+internals: subset scans, exhaustive enumerations, dense matrices, Fraction
+arithmetic, no bitsets, no memoization, no shortcuts. Two exceptions:
+`matching_branching`, an exact memoized branching search on vertex
+bitmasks, is independent of the package's blossom algorithm and fast
+enough to check matchings up to n of about 18; `atlas_levels_unpruned`
+calls the package's public `canonical_bits`, whose own tests check it
+against brute-force isomorphism, and checks the atlas's orbit pruning.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from edgeideals.atlas import canonical_bits
 from edgeideals.graphs import Graph
 
 
@@ -37,15 +40,23 @@ def minimal_covers_bruteforce(g: Graph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def matching_bruteforce(g: Graph) -> int:
-    best = 0
+def all_matchings(g: Graph):
+    """Every matching of g exactly once, as a tuple of edges: each matching
+    grows by the edges after its last one in `g.edges` that touch none of
+    its vertices."""
     edges = g.edges
-    for sub in all_subsets(range(len(edges))):
-        chosen = [edges[i] for i in sub]
-        verts = [v for e in chosen for v in e]
-        if len(set(verts)) == 2 * len(chosen):
-            best = max(best, len(chosen))
-    return best
+    stack = [((), frozenset(), 0)]
+    while stack:
+        chosen, used, start = stack.pop()
+        yield chosen
+        for i in range(start, len(edges)):
+            u, v = edges[i]
+            if u not in used and v not in used:
+                stack.append((chosen + (edges[i],), used | {u, v}, i + 1))
+
+
+def matching_bruteforce(g: Graph) -> int:
+    return max(len(chosen) for chosen in all_matchings(g))
 
 
 def matching_branching(g: Graph) -> int:
@@ -87,14 +98,11 @@ def matching_branching(g: Graph) -> int:
 
 
 def induced_matching_bruteforce(g: Graph) -> int:
+    """Largest matching whose vertices span no edge outside it."""
     best = 0
     edges = g.edges
-    for sub in all_subsets(range(len(edges))):
-        chosen = [edges[i] for i in sub]
-        verts = [v for e in chosen for v in e]
-        if len(set(verts)) != 2 * len(chosen):
-            continue
-        vs = set(verts)
+    for chosen in all_matchings(g):
+        vs = {v for e in chosen for v in e}
         induced = [e for e in edges if e[0] in vs and e[1] in vs]
         if len(induced) == len(chosen):
             best = max(best, len(chosen))
@@ -226,3 +234,25 @@ def dual_regularity_naive(g: Graph, characteristic: int = 2) -> int:
         for k in homology_dims_naive(faces, characteristic):
             reg_quotient = max(reg_quotient, k + 1)
     return reg_quotient + 1
+
+
+def atlas_levels_unpruned(n_max: int) -> list[list[Graph]]:
+    """Isomorph-free levels 0..n_max by vertex augmentation with no pruning:
+    every parent on level n - 1 gets a new vertex n - 1 joined to each of
+    the 2^(n-1) attachment sets in ascending mask order, and a child is
+    kept when its canonical bits are new on its level. No cache."""
+    levels = [[Graph(0)]]
+    for n in range(1, n_max + 1):
+        seen = set()
+        level = []
+        for parent in levels[-1]:
+            for attach in range(1 << (n - 1)):
+                child = Graph(n, list(parent.edges)
+                              + [(v, n - 1) for v in range(n - 1)
+                                 if attach >> v & 1])
+                bits = canonical_bits(child.masks, n)
+                if bits not in seen:
+                    seen.add(bits)
+                    level.append(child)
+        levels.append(level)
+    return levels

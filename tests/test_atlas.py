@@ -2,10 +2,14 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgeideals.atlas import (CanonicalForm, canonical_bits, canonical_form,
-                              enumerate_graphs, pdr_spectrum, random_graph,
-                              recognize_family, verify_bound,
+from edgeideals.atlas import (UNLABELED_GRAPH_COUNTS, CanonicalForm,
+                              _atlas_level, _canonical_search,
+                              _orbit_least_masks, canonical_bits,
+                              canonical_form, enumerate_graphs, pdr_spectrum,
+                              random_graph, recognize_family, verify_bound,
                               verify_classification, verify_spectrum)
 from edgeideals.covers import tau_max
 from edgeideals.errors import ParameterRangeError, ResourceLimitError
@@ -13,6 +17,7 @@ from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
 from edgeideals.graphs import Graph, is_chordal, is_gap_free, relabel
 from edgeideals.spectrum import cover_lower_bound
+from oracles import atlas_levels_unpruned
 
 
 def brute_isomorphic(g, h):
@@ -89,6 +94,45 @@ def test_enumeration_counts_vs_labeled_bruteforce():
             g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
             seen.add(canonical_bits(g.masks, n))
         assert len(seen) == PUBLISHED_COUNTS[n]
+
+
+def test_atlas_levels_equal_unpruned_oracle():
+    # orbit pruning keeps every representative, its labels and its position
+    for n, expect in enumerate(atlas_levels_unpruned(7)):
+        got = _atlas_level(n)
+        assert len(got) == UNLABELED_GRAPH_COUNTS[n]
+        assert [g.edges for g in got] == [g.edges for g in expect]
+
+
+def _is_automorphism(g, perm):
+    return (sorted(perm) == list(range(g.n))
+            and all(g.has_edge(perm[u], perm[v]) for u, v in g.edges))
+
+
+def _image(mask, perm):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+def test_search_automorphisms_and_orbit_least_masks_every_graph_to_n6():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            bits, auts = _canonical_search(g.masks, n)
+            assert bits == canonical_bits(g.masks, n)
+            assert all(_is_automorphism(g, a) for a in auts)
+            group = [p for p in permutations(range(n))
+                     if _is_automorphism(g, p)]
+            least = [m for m in range(1 << n)
+                     if all(_image(m, p) >= m for p in group)]
+            assert _orbit_least_masks(auts, n) == least, g.edges
+
+
+@given(st.integers(1, 9), st.sampled_from((0.2, 0.5, 0.8)),
+       st.integers(0, 10 ** 9))
+@settings(max_examples=100, deadline=None)
+def test_search_automorphisms_map_masks_onto_themselves(n, p, seed):
+    g = random_graph(n, p, seed)
+    for a in _canonical_search(g.masks, n)[1]:
+        assert _is_automorphism(g, a)
 
 
 def test_enumeration_filters():
