@@ -9,15 +9,18 @@ Conventions (these decide degree-0 and degree-(-1) behavior downstream):
   consisting of only the empty face has dim H~_{-1} = 1.
 * The void complex (no faces at all) has every homology dimension 0.
 
-Ranks are exact: bitset Gaussian elimination over GF(2), modular
-elimination for odd primes, fraction-free (Bareiss) elimination over the
-rationals.
+Ranks are exact. Over GF(2) boundary columns are bitmasks eliminated by
+XOR (`_rank_gf2`); over GF(p) for odd p and over Q one sparse kernel
+(`_rank_sparse`) eliminates rows stored as {column: coefficient} dicts with
+a division-free step, so a boundary row keeps its k + 1 nonzeros instead
+of being expanded to a dense list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from typing import Callable, Iterable
 
 from .errors import ParameterRangeError
@@ -140,62 +143,43 @@ def _rank_gf2(cols: list[int]) -> int:
     return rank
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by in-place modular Gaussian elimination."""
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p), or over the rationals when p == 0, of a matrix given
+    as sparse rows {column: coefficient}.
 
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination on
-    integer entries; all intermediate values stay integral."""
-    if not rows or not rows[0]:
-        return 0
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    c = 0
-    while rank < m and c < n:
-        pivot = None
-        for r in range(rank, m):
-            if rows[r][c]:
-                pivot = r
+    Each row is reduced against pivot rows keyed on their leading (highest)
+    column by the division-free step row <- a*row - b*prow, where a is the
+    pivot's leading entry and b the row's entry there, until it is empty or
+    becomes a new pivot. Over GF(p) the row is reduced mod p before each
+    step; over Q each new pivot row is divided by the gcd of its entries.
+    Every step is an invertible row operation over the field, so the rank
+    is exact. The rows passed in are not modified.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while True:
+            if p:
+                row = {c: x % p for c, x in row.items() if x % p}
+            else:
+                row = {c: x for c, x in row.items() if x}
+            if not row:
                 break
-        if pivot is None:
-            c += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, m):
-            rr = rows[r]
-            f = rr[c]
-            rows[r] = [(pr[c] * rr[j] - f * pr[j]) // prev for j in range(n)]
-        prev = pr[c]
-        rank += 1
-        c += 1
-    return rank
+            low = max(row)
+            prow = pivots.get(low)
+            if prow is None:
+                if not p:
+                    g = gcd(*row.values())
+                    if g > 1:
+                        row = {c: x // g for c, x in row.items()}
+                pivots[low] = row
+                break
+            a, b = prow[low], row[low]
+            # row was just rebuilt above, so it may be updated in place
+            if a != 1:
+                row = {c: a * x for c, x in row.items()}
+            for c, y in prow.items():
+                row[c] = row.get(c, 0) - b * y
+    return len(pivots)
 
 
 def _boundary_rank(cx: SimplicialComplex, k: int, field: FieldSpec) -> int:
@@ -215,15 +199,13 @@ def _boundary_rank(cx: SimplicialComplex, k: int, field: FieldSpec) -> int:
         return _rank_gf2(cols)
     rows = []
     for f in faces:
-        row = [0] * len(below)
+        row = {}
         sign = 1
         for i in range(len(f)):
             row[index[f[:i] + f[i + 1:]]] = sign
             sign = -sign
         rows.append(row)
-    if field.characteristic == 0:
-        return _rank_bareiss(rows)
-    return _rank_mod_p(rows, field.characteristic)
+    return _rank_sparse(rows, field.characteristic)
 
 
 def homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict[int, int]:

@@ -16,6 +16,7 @@ from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
 from edgeideals.graphs import Graph, is_chordal, is_gap_free, relabel
+from edgeideals.homology import GF2, GF3, QQ
 from edgeideals.spectrum import cover_lower_bound
 from oracles import atlas_levels_unpruned
 
@@ -240,6 +241,12 @@ def test_pdr_spectrum_small():
     assert rep6.row(1) == {3, 4, 5}
     with pytest.raises(ResourceLimitError):
         pdr_spectrum(9)
+
+
+def test_pdr_spectrum_same_over_every_field():
+    for n in range(4, 8):
+        pairs = pdr_spectrum(n, GF2).pairs
+        assert pdr_spectrum(n, GF3).pairs == pdr_spectrum(n, QQ).pairs == pairs
 
 
 def test_nonsquare_extremal_example():

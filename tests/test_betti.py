@@ -12,6 +12,7 @@ from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_bipartite, complete_graph,
                                  cycle_graph, path_graph, pendant_clique,
                                  two_k2)
+from edgeideals.gio import from_graph6
 from edgeideals.graphs import (Graph, disjoint_union, induced_subgraph,
                                is_chordal)
 from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, homology_dims,
@@ -248,6 +249,25 @@ def test_additivity_under_disjoint_union(small_corpus):
 def test_field_disagreements_empty_on_small(small_corpus):
     for g in small_corpus[:12]:
         assert field_disagreements(g, (2, 3, 0)) == []
+
+
+def test_flag_rp2_graph_betti_table_depends_on_characteristic():
+    # An 11-vertex graph whose independence complex is a flag triangulation
+    # of the real projective plane: H~_1 = H~_2 = GF(2), acyclic over GF(3)
+    # and Q, so beta_{8,11} and beta_{9,11} (W = V) appear only over GF(2).
+    g = from_graph6("JhW[X`LtKF?")
+    assert (g.n, g.m) == (11, 25)
+    cx = independence_complex(g)
+    assert homology_dims(cx, GF2) == {1: 1, 2: 1}
+    t = betti_table(g, GF2)
+    assert (t.entry(8, 11), t.entry(9, 11), t.pd, t.reg) == (1, 1, 9, 3)
+    for field in (GF3, QQ):
+        assert homology_dims(cx, field) == {}
+        t = betti_table(g, field)
+        assert (t.entry(8, 11), t.entry(9, 11), t.pd, t.reg) == (0, 0, 8, 2)
+    records = field_disagreements(g)
+    assert [(r["characteristic"], r["against"]) for r in records] == [
+        (3, 2), (0, 2)]
 
 
 def test_render_and_json():

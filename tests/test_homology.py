@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeideals.errors import ParameterRangeError
 from edgeideals.families import complete_graph, cycle_graph, two_k2
 from edgeideals.graphs import Graph
 from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, SimplicialComplex,
-                                 homology_dims, independence_complex,
+                                 _boundary_rank, _rank_sparse, homology_dims,
+                                 independence_complex,
                                  reduced_euler_characteristic,
                                  reduced_homology_dim)
-from oracles import homology_dims_naive, independent_sets_bruteforce
+from oracles import (_rank_fraction, _rank_modp, homology_dims_naive,
+                     independent_sets_bruteforce)
 
 
 def euler_balanced(cx, field):
@@ -106,10 +110,40 @@ def test_euler_poincare_everywhere(small_corpus):
 
 
 def test_rank_bound_invariant(small_corpus):
-    from edgeideals.homology import _boundary_rank
     for g in small_corpus[:30]:
         cx = independence_complex(g)
-        for k in range(0, cx.dim + 1):
-            rk = _boundary_rank(cx, k, GF2)
-            rk1 = _boundary_rank(cx, k + 1, GF2)
-            assert rk + rk1 <= cx.face_count(k)
+        for field in (GF2, GF3, QQ):
+            for k in range(0, cx.dim + 1):
+                rk = _boundary_rank(cx, k, field)
+                rk1 = _boundary_rank(cx, k + 1, field)
+                assert rk + rk1 <= cx.face_count(k)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 9 x 9 whose nonzero entries come from
+    +-{1, 2, 3, 4, 6}, so that pivots other than +-1 occur and entries
+    vanish mod 2 and mod 3; some rows are integer combinations of the rows
+    before them, so the rank is often short of full."""
+    nrows = draw(st.integers(1, 9))
+    ncols = draw(st.integers(1, 9))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6))
+    rows = []
+    for r in range(nrows):
+        if r and draw(st.booleans()):
+            coefs = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+            rows.append([sum(c * row[j] for c, row in zip(coefs, rows))
+                         for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols,
+                                      max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_sparse_rank_equals_dense_oracles(rows):
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    assert _rank_sparse(sparse, 0) == _rank_fraction(rows)
+    for p in (2, 3, 5, 7):
+        assert _rank_sparse(sparse, p) == _rank_modp(rows, p)
