@@ -5,23 +5,35 @@ internal degree j is the sum, over all j-subsets W of the vertices, of
 dim H~_{j-i-1} of the independence complex of G[W] over the chosen field.
 betti_table is the one place that sum is evaluated; pd and reg, the pair
 the cover bounds are about, are read off its table. The sum runs over all
-2^n induced subgraphs with two exact shortcuts that do not change any
-entry:
+2^n_i subsets of each component, with exact shortcuts that do not change
+any entry:
 
+* the sum factors over components: S/I(G + H) is the tensor product of
+  S/I(G) and S/I(H) over disjoint sets of variables, so the Betti
+  polynomials sum beta_ij s^i t^j of the components multiply, and an
+  isolated vertex is a factor of 1;
 * subsets whose induced subgraph has an isolated vertex contribute nothing
-  (the complex is a cone over that vertex), and
+  (the complex is a cone over that vertex);
 * each remaining W is folded first: by Engstrom's fold lemma, if
   N(u) <= N(v) for u != v then Ind(G) and Ind(G - v) are homotopy
   equivalent, so dominated vertices are dropped from W until none is left
   (or an isolated vertex shows a cone). Homology is then computed once per
-  folded subset, memoized for the duration of one call.
+  folded subset, memoized for the duration of one call;
+* a folded W whose graph is disconnected is not built as one complex:
+  Ind(A + B) is the join Ind(A) * Ind(B), and over a field
+  H~_{k+1}(X * Y) is the sum over i + j = k of H~_i(X) (x) H~_j(Y). Each
+  piece is memoized on its own; it is fold-stable, since no vertex of a
+  piece has a neighbour outside it.
 
 dual_regularity gives the cover-ideal side used by dual_check: the same
 sum over the complex of non-covers (the Alexander dual of the independence
 complex). There only vertex covers W contribute, since a non-cover W
 restricts to the full simplex on W, and the complex over a cover W is
-generated by the sets W - e, one per edge e. That side shares only
-homology_dims with betti_table, so the cross-check stays independent.
+generated by the sets W - A for the inclusion-minimal A among the sets
+e & W, one per edge e. A vertex of W in no such A lies in every facet, so
+the complex is a cone and W is skipped. That test reads the generators
+only, and the dual side shares only homology_dims with betti_table, so the
+cross-check stays independent.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from dataclasses import dataclass
 
 from . import covers
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
-from .graphs import Graph, _bits, induced_subgraph
+from .graphs import Graph, _bits, _components, induced_subgraph
 from .homology import (GF2, FieldSpec, SimplicialComplex, homology_dims,
                        independence_complex)
 
@@ -121,17 +133,36 @@ def _fold(masks: tuple[int, ...], w_mask: int) -> int | None:
     return w
 
 
+def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Reduced homology of the join X * Y over a field, from that of X and
+    Y: H~_{i+j+1}(X * Y) is the sum of H~_i(X) (x) H~_j(Y)."""
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j + 1] = out.get(i + j + 1, 0) + x * y
+    return out
+
+
 def _ind_homology(g: Graph, w_mask: int, field: FieldSpec,
                   memo: dict[int, dict[int, int]]) -> dict[int, int]:
     """Nonzero reduced homology of Ind(G[W]), memoized in `memo` by the
-    folded subset."""
+    folded subset and by each of its connected pieces."""
     w = _fold(g.masks, w_mask)
     if w is None:
         return {}
     hit = memo.get(w)
     if hit is None:
-        sub = induced_subgraph(g, _bits(w))
-        hit = memo[w] = homology_dims(independence_complex(sub), field)
+        pieces = _components(g.masks, w)
+        if len(pieces) == 1:
+            hit = homology_dims(
+                independence_complex(induced_subgraph(g, _bits(w))), field)
+        else:
+            hit = {-1: 1}
+            for piece in pieces:
+                hit = _join(hit, _ind_homology(g, piece, field, memo))
+                if not hit:
+                    break
+        memo[w] = hit
     return hit
 
 
@@ -147,9 +178,8 @@ def hochster_summand(g: Graph, vertices, field: FieldSpec = GF2) -> dict[int, in
     return _ind_homology(g, mask, field, {})
 
 
-def betti_table(g: Graph, field: FieldSpec = GF2,
-                max_n: int | None = None) -> BettiTable:
-    _check_cap(g, max_n, "betti_table")
+def _subset_sum(g: Graph, field: FieldSpec) -> dict[tuple[int, int], int]:
+    """Hochster's sum over all 2^n subsets of g: the Betti table entries."""
     entries: dict[tuple[int, int], int] = {}
     memo: dict[int, dict[int, int]] = {}
     for w_mask in range(1 << g.n):
@@ -159,6 +189,30 @@ def betti_table(g: Graph, field: FieldSpec = GF2,
         for k, dim in _ind_homology(g, w_mask, field, memo).items():
             key = (j - 1 - k, j)
             entries[key] = entries.get(key, 0) + dim
+    return entries
+
+
+def _tensor(a: dict[tuple[int, int], int],
+            b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """Betti table of a tensor product over disjoint variables: the product
+    of the Betti polynomials sum beta_ij s^i t^j."""
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            key = (i + k, j + l)
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def betti_table(g: Graph, field: FieldSpec = GF2,
+                max_n: int | None = None) -> BettiTable:
+    _check_cap(g, max_n, "betti_table")
+    entries = {(0, 0): 1}
+    full = (1 << g.n) - 1
+    for comp in _components(g.masks, full):
+        if comp & (comp - 1):
+            sub = g if comp == full else induced_subgraph(g, _bits(comp))
+            entries = _tensor(entries, _subset_sum(sub, field))
     pd = max(i for i, _ in entries)
     reg = max(j - i for i, j in entries)
     return BettiTable(n=g.n, characteristic=field.characteristic,
@@ -193,7 +247,10 @@ def dual_regularity(g: Graph, field: FieldSpec = GF2,
     subset of W, so the restriction is the full simplex on W: no reduced
     homology for W nonempty, and for W empty only H~_{-1}, which gives
     reg 0, the start value. Over a cover W the faces are the subsets of W
-    that miss some edge e, so the sets W - e generate the complex.
+    that miss some edge e, so the sets W - e generate the complex, and the
+    inclusion-minimal sets e & W already give its facets. A vertex of W in
+    none of them lies in every facet: the complex is a cone, with no
+    reduced homology.
     """
     _check_cap(g, max_n, "dual_regularity")
     if isolated := [v for v in range(g.n) if not g.masks[v]]:
@@ -206,8 +263,21 @@ def dual_regularity(g: Graph, field: FieldSpec = GF2,
     for w_mask in range(1 << g.n):
         if not all(em & w_mask for em in edge_masks):
             continue
-        cx = SimplicialComplex.from_facets(_bits(w_mask & ~em)
-                                           for em in edge_masks)
+        # each e & W is one vertex or a whole edge; an edge is minimal
+        # unless one of its ends is such a vertex
+        cuts = {em & w_mask for em in edge_masks}
+        singles = 0
+        for a in cuts:
+            if not a & (a - 1):
+                singles |= a
+        minimal = [a for a in cuts if not a & (a - 1) or not a & singles]
+        covered = 0
+        for a in minimal:
+            covered |= a
+        if covered != w_mask:
+            continue
+        cx = SimplicialComplex.from_facets(_bits(w_mask & ~a)
+                                           for a in minimal)
         for k in homology_dims(cx, field):
             reg_quotient = max(reg_quotient, k + 1)
     return reg_quotient + 1

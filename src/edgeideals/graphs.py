@@ -157,22 +157,27 @@ def isolated_vertices(g: Graph) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if g.masks[v] == 0)
 
 
+def _components(masks: Sequence[int], w: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph induced on
+    the vertex mask w, in order of their least vertex."""
+    out = []
+    while w:
+        seen = frontier = w & -w
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & w & ~seen
+            seen |= frontier
+        out.append(seen)
+        w ^= seen
+    return out
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    masks = g.masks
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= masks[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return len(_components(g.masks, (1 << g.n) - 1)) <= 1
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from edgeideals.errors import ParameterRangeError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
-from edgeideals.graphs import (Graph, _bits, complement, disjoint_union,
-                               induced_subgraph, is_bipartite, is_chordal,
-                               is_connected, is_gap_free, isolated_vertices,
-                               relabel)
+from edgeideals.graphs import (Graph, _bits, _components, complement,
+                               disjoint_union, induced_subgraph, is_bipartite,
+                               is_chordal, is_connected, is_gap_free,
+                               isolated_vertices, relabel)
 from oracles import is_chordal_bruteforce
 
 
@@ -100,9 +100,20 @@ def test_isolated_vertices():
 def test_connectivity_and_bipartiteness():
     assert is_connected(cycle_graph(5))
     assert not is_connected(two_k2())
+    assert is_connected(Graph(0)) and is_connected(Graph(1))
+    assert not is_connected(Graph(2))
     assert is_bipartite(cycle_graph(6))
     assert not is_bipartite(cycle_graph(5))
     assert is_bipartite(two_k2())
+
+
+def test_components_of_induced_subgraphs():
+    c6 = cycle_graph(6)
+    assert _components(c6.masks, 0b111111) == [0b111111]
+    assert _components(c6.masks, 0b110110) == [0b000110, 0b110000]
+    assert _components(c6.masks, 0b101010) == [0b10, 0b1000, 0b100000]
+    assert _components(c6.masks, 0) == []
+    assert _components(two_k2().masks, 0b1111) == [0b0011, 0b1100]
 
 
 def test_chordal_known_cases():
