@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from . import betti, covers, gio, spectrum
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
 from .graphs import Graph, is_chordal, is_gap_free, isolated_vertices, is_connected
-from .homology import GF2
+from .homology import GF2, FieldSpec
 
 CANONICAL_MAX_N = 12
 ENUMERATE_MAX_N = 9
@@ -382,9 +382,7 @@ class BoundReport:
     equality_class: tuple[str, ...]
 
     def json_line(self) -> str:
-        return json.dumps({"n": self.n, "classes_visited": self.classes_visited,
-                           "violations": list(self.violations),
-                           "equality_class": list(self.equality_class)})
+        return json.dumps(asdict(self))
 
 
 def _isolate_free_samples(n: int, count: int, seed: int) -> Iterator[Graph]:
@@ -445,10 +443,7 @@ class ClassificationReport:
     mismatches: tuple[str, ...]
 
     def json_line(self) -> str:
-        return json.dumps({"n": self.n, "classes_visited": self.classes_visited,
-                           "equality_class": list(self.equality_class),
-                           "recognized_tags": list(self.recognized_tags),
-                           "mismatches": list(self.mismatches)})
+        return json.dumps(asdict(self))
 
 
 def verify_classification(n: int) -> ClassificationReport:
@@ -497,15 +492,13 @@ class SpectrumCheck:
                 and hom_ok)
 
     def json_line(self) -> str:
-        return json.dumps({"n": self.n, "p": self.p, "tau_max": self.tau_max,
-                           "chordal": self.chordal, "gap_free": self.gap_free,
-                           "pd": self.pd, "reg": self.reg, "ok": self.ok})
+        return json.dumps({**asdict(self), "ok": self.ok})
 
 
 SPECTRUM_HOMOLOGY_MAX_N = 14
 
 
-def verify_spectrum(n_max: int, field=None,
+def verify_spectrum(n_max: int, field: FieldSpec = GF2,
                     homology_up_to: int = SPECTRUM_HOMOLOGY_MAX_N
                     ) -> list[SpectrumCheck]:
     """Build every legal (n, p) spectrum graph for n = 2..n_max and check
@@ -514,7 +507,6 @@ def verify_spectrum(n_max: int, field=None,
     if n_max < 2:
         raise ParameterRangeError(
             f"verify_spectrum needs n_max >= 2, got {n_max}")
-    field = field or GF2
     out = []
     for n in range(2, n_max + 1):
         for p in range(spectrum.cover_lower_bound(n), n):
@@ -576,11 +568,10 @@ class PdrSpectrumReport:
 PDR_SPECTRUM_MAX_N = 8
 
 
-def pdr_spectrum(n: int, field=None) -> PdrSpectrumReport:
+def pdr_spectrum(n: int, field: FieldSpec = GF2) -> PdrSpectrumReport:
     """Compute (pd, reg) for every isolate-free isomorphism class on n
     vertices; the witness kept per pair is the first class encountered in
     enumeration order."""
-    field = field or GF2
     if n < 2:
         raise ParameterRangeError(f"pdr_spectrum needs n >= 2, got {n}")
     if n > PDR_SPECTRUM_MAX_N:

@@ -276,8 +276,7 @@ def dual_regularity(g: Graph, field: FieldSpec = GF2,
             covered |= a
         if covered != w_mask:
             continue
-        cx = SimplicialComplex.from_facets(_bits(w_mask & ~a)
-                                           for a in minimal)
+        cx = SimplicialComplex.from_facets(w_mask & ~a for a in minimal)
         for k in homology_dims(cx, field):
             reg_quotient = max(reg_quotient, k + 1)
     return reg_quotient + 1

@@ -144,6 +144,6 @@ def parse_graph(text: str) -> Graph:
 def emit_graph(g: Graph, fmt: str = "graph6") -> str:
     if fmt == "graph6":
         return to_graph6(g)
-    if fmt in ("edge-list", "edgelist"):
+    if fmt == "edge-list":
         return to_edge_list(g)
     raise GraphParseError(f"unknown graph format {fmt!r}")

@@ -5,9 +5,13 @@ Conventions (these decide degree-0 and degree-(-1) behavior downstream):
 * Homology is reduced: the boundary operator in degree 0 is the
   augmentation onto the empty face, so a complex with c connected
   components has dim H~_0 = c - 1.
-* A nonempty complex always contains the empty face; the complex {()}
+* A nonempty complex always contains the empty face; the complex {0}
   consisting of only the empty face has dim H~_{-1} = 1.
 * The void complex (no faces at all) has every homology dimension 0.
+
+A face is an int vertex mask, as everywhere in the package: bit v stands
+for vertex v and the empty face is 0. The boundary of f is the faces
+f ^ low, one per set bit low of f, signed alternately in ascending order.
 
 Ranks are exact. Over GF(2) boundary columns are bitmasks eliminated by
 XOR (`_rank_gf2`); over GF(p) for odd p and over Q one sparse kernel
@@ -19,9 +23,8 @@ of being expanded to a dense list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import ParameterRangeError
 from .graphs import Graph
@@ -63,28 +66,32 @@ QQ = FieldSpec(0)
 class SimplicialComplex:
     """A finite simplicial complex stored as faces grouped by dimension.
 
-    faces_by_dim[k] lists the k-faces as sorted vertex tuples, in the
-    deterministic order produced by the constructor; dimension -1 holds the
-    empty face whenever the complex is nonempty.
+    faces_by_dim[k] lists the k-faces as vertex masks (bit v for vertex v),
+    in the deterministic order produced by the constructor; dimension -1
+    holds the empty face 0 whenever the complex is nonempty.
     """
 
     __slots__ = ("faces_by_dim",)
 
-    def __init__(self, faces_by_dim: dict[int, list[tuple[int, ...]]]):
+    def __init__(self, faces_by_dim: dict[int, list[int]]):
         self.faces_by_dim = faces_by_dim
 
     @classmethod
-    def from_facets(cls, facets: Iterable[tuple[int, ...]]) -> "SimplicialComplex":
-        """The complex generated by the given faces, which need not be
-        maximal: their downward closure, sorted within each dimension."""
-        seen: set[tuple[int, ...]] = set()
+    def from_facets(cls, facets: Iterable[int]) -> "SimplicialComplex":
+        """The complex generated by the given face masks, which need not be
+        maximal: their downward closure, in ascending mask order within
+        each dimension."""
+        seen: set[int] = set()
         for f in facets:
-            f = tuple(sorted(f))
-            for size in range(len(f) + 1):
-                seen.update(combinations(f, size))
-        by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for face in sorted(seen, key=lambda t: (len(t), t)):
-            by_dim.setdefault(len(face) - 1, []).append(face)
+            if f not in seen:  # seen is downward closed
+                seen.add(0)
+                sub = f
+                while sub:
+                    seen.add(sub)
+                    sub = (sub - 1) & f
+        by_dim: dict[int, list[int]] = {}
+        for face in sorted(seen):
+            by_dim.setdefault(face.bit_count() - 1, []).append(face)
         return cls(by_dim)
 
     @classmethod
@@ -93,7 +100,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        """-2 for the void complex, -1 for {()}, else the top face dimension."""
+        """-2 for the void complex, -1 for {0}, else the top face dimension."""
         return max(self.faces_by_dim, default=-2)
 
     @property
@@ -107,23 +114,25 @@ class SimplicialComplex:
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Faces are the independent sets of g (the empty set included).
 
-    Enumeration is by backtracking over vertices in increasing order, so
-    face lists are lexicographically sorted within each dimension.
+    Each k-face grows into the (k+1)-faces that add one vertex above its
+    largest, in ascending vertex order, so face lists are lexicographically
+    sorted within each dimension. `free` holds the vertices a face can
+    still take: those above its largest with no neighbour in it.
     """
     masks = g.masks
-    by_dim: dict[int, list[tuple[int, ...]]] = {-1: [()]}
-    current: list[int] = []
-
-    def extend(start: int, closed: int):
-        for v in range(start, g.n):
-            if closed >> v & 1:
-                continue
-            current.append(v)
-            by_dim.setdefault(len(current) - 1, []).append(tuple(current))
-            extend(v + 1, closed | masks[v])
-            current.pop()
-
-    extend(0, 0)
+    by_dim: dict[int, list[int]] = {-1: [0]}
+    level = [(0, (1 << g.n) - 1)]
+    for k in range(g.n):
+        grown = []
+        for face, free in level:
+            while free:  # ascending, so free is left with the vertices above
+                low = free & -free
+                free ^= low
+                grown.append((face | low, free & ~masks[low.bit_length() - 1]))
+        if not grown:
+            break
+        by_dim[k] = [face for face, _ in grown]
+        level = grown
     return SimplicialComplex(by_dim)
 
 
@@ -189,23 +198,22 @@ def _boundary_rank(cx: SimplicialComplex, k: int, field: FieldSpec) -> int:
     if not faces or not below:
         return 0
     index = {f: i for i, f in enumerate(below)}
-    if field.characteristic == 2:
-        cols = []
-        for f in faces:
-            col = 0
-            for i in range(len(f)):
-                col |= 1 << index[f[:i] + f[i + 1:]]
-            cols.append(col)
-        return _rank_gf2(cols)
-    rows = []
+    gf2 = field.characteristic == 2
+    matrix = []
     for f in faces:
-        row = {}
-        sign = 1
-        for i in range(len(f)):
-            row[index[f[:i] + f[i + 1:]]] = sign
-            sign = -sign
-        rows.append(row)
-    return _rank_sparse(rows, field.characteristic)
+        col, row, sign, m = 0, {}, 1, f
+        while m:
+            low = m & -m
+            m ^= low
+            if gf2:
+                col |= 1 << index[f ^ low]
+            else:
+                row[index[f ^ low]] = sign
+                sign = -sign
+        matrix.append(col if gf2 else row)
+    if gf2:
+        return _rank_gf2(matrix)
+    return _rank_sparse(matrix, field.characteristic)
 
 
 def homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict[int, int]:

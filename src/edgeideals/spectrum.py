@@ -49,10 +49,6 @@ class SpectrumPlan:
     extra_cap: int          # group_budget - group_size
     extra_block_sizes: tuple[int, ...]
 
-    @property
-    def pendants_per_clique_vertex(self) -> int:
-        return self.group_size - 1
-
     def validate(self) -> None:
         s, T, t, a = (self.clique_size, self.group_budget, self.group_size,
                       self.extra_cap)

@@ -4,14 +4,23 @@ from hypothesis import strategies as st
 
 from edgeideals.errors import ParameterRangeError
 from edgeideals.families import complete_graph, cycle_graph, two_k2
-from edgeideals.graphs import Graph
+from edgeideals.graphs import Graph, _bits
 from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, SimplicialComplex,
                                  _boundary_rank, _rank_sparse, homology_dims,
                                  independence_complex,
                                  reduced_euler_characteristic,
                                  reduced_homology_dim)
-from oracles import (_rank_fraction, _rank_modp, homology_dims_naive,
-                     independent_sets_bruteforce)
+from oracles import (_rank_fraction, _rank_modp, all_subsets,
+                     homology_dims_naive, independent_sets_bruteforce)
+
+
+def mask(vertices) -> int:
+    return sum(1 << v for v in set(vertices))
+
+
+def face_tuples(cx) -> list[tuple[int, ...]]:
+    """Every face of cx as a sorted vertex tuple, the oracles' format."""
+    return [_bits(f) for faces in cx.faces_by_dim.values() for f in faces]
 
 
 def euler_balanced(cx, field):
@@ -31,34 +40,33 @@ def test_field_spec_validation():
 
 def test_independence_complex_contents():
     cx = independence_complex(complete_graph(3))
-    assert cx.faces_by_dim == {-1: [()], 0: [(0,), (1,), (2,)]}
+    assert cx.faces_by_dim == {-1: [0], 0: [0b001, 0b010, 0b100]}
     full = independence_complex(Graph(3))
     assert full.face_count(2) == 1 and full.dim == 2
     c4 = independence_complex(cycle_graph(4))
-    assert c4.faces_by_dim[1] == [(0, 2), (1, 3)]
+    assert c4.faces_by_dim[1] == [mask((0, 2)), mask((1, 3))]
 
 
 def test_independence_complex_faces_equal_bruteforce(small_corpus):
     for g in small_corpus[:50]:
         cx = independence_complex(g)
-        got = sorted(f for faces in cx.faces_by_dim.values() for f in faces)
-        assert got == sorted(independent_sets_bruteforce(g))
+        assert sorted(face_tuples(cx)) == sorted(independent_sets_bruteforce(g))
 
 
 def test_known_homology():
-    two_points = SimplicialComplex.from_facets([(0,), (1,)])
+    two_points = SimplicialComplex.from_facets([0b01, 0b10])
     assert reduced_homology_dim(two_points, 0) == 1
-    hollow = SimplicialComplex.from_facets([(0, 1), (1, 2), (0, 2)])
+    hollow = SimplicialComplex.from_facets([0b011, 0b110, 0b101])
     assert reduced_homology_dim(hollow, 1) == 1
     assert reduced_homology_dim(hollow, 0) == 0
-    solid = SimplicialComplex.from_facets([(0, 1, 2, 3)])
+    solid = SimplicialComplex.from_facets([0b1111])
     assert homology_dims(solid) == {}
-    assert homology_dims(SimplicialComplex.from_facets([()])) == {-1: 1}
+    assert homology_dims(SimplicialComplex.from_facets([0])) == {-1: 1}
     assert homology_dims(SimplicialComplex.void()) == {}
 
 
 def test_out_of_range_dims_are_zero():
-    cx = SimplicialComplex.from_facets([(0, 1)])
+    cx = SimplicialComplex.from_facets([0b11])
     assert reduced_homology_dim(cx, 5) == 0
     assert reduced_homology_dim(cx, -2) == 0
 
@@ -66,7 +74,7 @@ def test_out_of_range_dims_are_zero():
 def test_sphere_boundary_of_simplex():
     # boundary of the 3-simplex: a 2-sphere
     facets = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    cx = SimplicialComplex.from_facets(facets)
+    cx = SimplicialComplex.from_facets(mask(f) for f in facets)
     for field in (GF2, GF3, QQ):
         assert homology_dims(cx, field) == {2: 1}
 
@@ -79,8 +87,7 @@ def test_ind_complexes_of_small_graphs():
     # Ind(C6): known homotopy type S^1 wedge S^1? dimension check via naive oracle
     for g in (cycle_graph(6), cycle_graph(7)):
         cx = independence_complex(g)
-        faces = [f for fs in cx.faces_by_dim.values() for f in fs]
-        assert homology_dims(cx, GF2) == homology_dims_naive(faces, 2)
+        assert homology_dims(cx, GF2) == homology_dims_naive(face_tuples(cx), 2)
 
 
 def test_fields_agree_on_small_graphs(small_corpus):
@@ -93,7 +100,7 @@ def test_fields_agree_on_small_graphs(small_corpus):
 def test_against_naive_oracle(small_corpus):
     for g in small_corpus[:40]:
         cx = independence_complex(g)
-        faces = [f for fs in cx.faces_by_dim.values() for f in fs]
+        faces = face_tuples(cx)
         for field in (GF2, GF3, QQ):
             assert homology_dims(cx, field) == homology_dims_naive(
                 faces, field.characteristic)
@@ -101,8 +108,8 @@ def test_against_naive_oracle(small_corpus):
 
 def test_euler_poincare_everywhere(small_corpus):
     complexes = [independence_complex(g) for g in small_corpus[:60]]
-    complexes += [SimplicialComplex.from_facets([(0, 1, 2), (2, 3), (4,)]),
-                  SimplicialComplex.from_facets([()]),
+    complexes += [SimplicialComplex.from_facets([0b00111, 0b01100, 0b10000]),
+                  SimplicialComplex.from_facets([0]),
                   SimplicialComplex.void()]
     for cx in complexes:
         for field in (GF2, GF3, QQ):
@@ -147,3 +154,31 @@ def test_sparse_rank_equals_dense_oracles(rows):
     assert _rank_sparse(sparse, 0) == _rank_fraction(rows)
     for p in (2, 3, 5, 7):
         assert _rank_sparse(sparse, p) == _rank_modp(rows, p)
+
+
+@st.composite
+def facet_masks(draw):
+    """Up to six facet masks over vertices 0..7. Half the time they are the
+    sets W - A for one vertex set W, which may have gaps, and A of one or
+    two vertices: the shape of the generators W - (e & W) of the non-cover
+    complex over a cover W. Otherwise they are arbitrary masks."""
+    n = draw(st.integers(1, 8))
+    w = draw(st.integers(0, (1 << n) - 1))
+    if draw(st.booleans()):
+        cuts = st.lists(st.sampled_from(range(n)), min_size=1, max_size=2)
+        return [w & ~mask(c) for c in draw(st.lists(cuts, max_size=6))]
+    return draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet_masks())
+def test_from_facets_equals_bruteforce_closure(facets):
+    cx = SimplicialComplex.from_facets(facets)
+    closure = {s for f in facets for s in all_subsets(_bits(f))}
+    faces = face_tuples(cx)
+    assert len(faces) == len(closure) and set(faces) == closure
+    for k, fs in cx.faces_by_dim.items():
+        assert fs == sorted(fs) and all(f.bit_count() == k + 1 for f in fs)
+    for field in (GF2, GF3, QQ):
+        assert homology_dims(cx, field) == homology_dims_naive(
+            faces, field.characteristic)
