@@ -4,8 +4,11 @@ For a graph G on n vertices the table entry in homological degree i and
 internal degree j is the sum, over all j-subsets W of the vertices, of
 dim H~_{j-i-1} of the independence complex of G[W] over the chosen field.
 betti_table is the one place that sum is evaluated; pd and reg, the pair
-the cover bounds are about, are read off its table. The sum runs over all
-2^n_i subsets of each component, with exact shortcuts that do not change
+the cover bounds are about, are read off its table. Every W, component
+and folded piece is a vertex mask of G itself, so the sum walks the
+2^n_i submasks of each component mask and hands each set to
+independence_complex(g, w) without relabeling; one memo, keyed on those
+masks, serves a whole betti_table call. Exact shortcuts that do not change
 any entry:
 
 * the sum factors over components: S/I(G + H) is the tensor product of
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 from . import covers
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
-from .graphs import Graph, _bits, _components, induced_subgraph
+from .graphs import Graph, _components
 from .homology import (GF2, FieldSpec, SimplicialComplex, homology_dims,
                        independence_complex)
 
@@ -154,8 +157,7 @@ def _ind_homology(g: Graph, w_mask: int, field: FieldSpec,
     if hit is None:
         pieces = _components(g.masks, w)
         if len(pieces) == 1:
-            hit = homology_dims(
-                independence_complex(induced_subgraph(g, _bits(w))), field)
+            hit = homology_dims(independence_complex(g, w), field)
         else:
             hit = {-1: 1}
             for piece in pieces:
@@ -178,18 +180,22 @@ def hochster_summand(g: Graph, vertices, field: FieldSpec = GF2) -> dict[int, in
     return _ind_homology(g, mask, field, {})
 
 
-def _subset_sum(g: Graph, field: FieldSpec) -> dict[tuple[int, int], int]:
-    """Hochster's sum over all 2^n subsets of g: the Betti table entries."""
+def _subset_sum(g: Graph, comp: int, field: FieldSpec,
+                memo: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
+    """Hochster's sum over the subsets W of the vertex mask comp: the Betti
+    table entries of G[comp]. W walks the submasks of comp downwards, in
+    g's own labels, ending with the empty set."""
     entries: dict[tuple[int, int], int] = {}
-    memo: dict[int, dict[int, int]] = {}
-    for w_mask in range(1 << g.n):
-        if w_mask and _has_isolated(g, w_mask):
-            continue
-        j = w_mask.bit_count()
-        for k, dim in _ind_homology(g, w_mask, field, memo).items():
-            key = (j - 1 - k, j)
-            entries[key] = entries.get(key, 0) + dim
-    return entries
+    w = comp
+    while True:
+        if not _has_isolated(g, w):
+            j = w.bit_count()
+            for k, dim in _ind_homology(g, w, field, memo).items():
+                key = (j - 1 - k, j)
+                entries[key] = entries.get(key, 0) + dim
+        if not w:
+            return entries
+        w = (w - 1) & comp
 
 
 def _tensor(a: dict[tuple[int, int], int],
@@ -208,11 +214,10 @@ def betti_table(g: Graph, field: FieldSpec = GF2,
                 max_n: int | None = None) -> BettiTable:
     _check_cap(g, max_n, "betti_table")
     entries = {(0, 0): 1}
-    full = (1 << g.n) - 1
-    for comp in _components(g.masks, full):
+    memo: dict[int, dict[int, int]] = {}
+    for comp in _components(g.masks, (1 << g.n) - 1):
         if comp & (comp - 1):
-            sub = g if comp == full else induced_subgraph(g, _bits(comp))
-            entries = _tensor(entries, _subset_sum(sub, field))
+            entries = _tensor(entries, _subset_sum(g, comp, field, memo))
     pd = max(i for i, _ in entries)
     reg = max(j - i for i, j in entries)
     return BettiTable(n=g.n, characteristic=field.characteristic,

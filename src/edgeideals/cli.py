@@ -20,13 +20,9 @@ EXIT_RESOURCE = 3
 EXIT_COUNTEREXAMPLE = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ParameterRangeError(message)
 
 
 def _read_graph(args) -> graphs.Graph:
@@ -34,7 +30,8 @@ def _read_graph(args) -> graphs.Graph:
         return families.build_family(families.parse_family(args.family))
     path = getattr(args, "graph", None)
     if not path:
-        raise _UsageError("provide a graph via --graph FILE|- or --family SPEC")
+        raise ParameterRangeError(
+            "provide a graph via --graph FILE|- or --family SPEC")
     if path == "-":
         return gio.parse_graph(sys.stdin.read())
     with open(path) as fh:
@@ -99,9 +96,11 @@ def _cmd_verify(args) -> int:
     bad = False
     if args.what == "bound":
         if not args.exhaustive and args.samples is None:
-            raise _UsageError("verify bound needs --exhaustive or --samples K --seed S")
+            raise ParameterRangeError(
+                "verify bound needs --exhaustive or --samples K --seed S")
         if args.samples is not None and args.seed is None:
-            raise _UsageError("sampled mode requires --seed (reproducibility first)")
+            raise ParameterRangeError(
+                "sampled mode requires --seed (reproducibility first)")
         reports = atlas.verify_bound(args.n, exhaustive=args.exhaustive,
                                      samples=args.samples, seed=args.seed)
         for rep in reports:
@@ -203,9 +202,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ParameterRangeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

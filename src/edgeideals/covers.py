@@ -80,26 +80,31 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
 
 
 def enumerate_minimal_covers(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Yield every minimal vertex cover exactly once, as a sorted vertex
-    tuple, in lexicographic order of those tuples."""
+    """An iterator over every minimal vertex cover exactly once, as a sorted
+    vertex tuple, in lexicographic order of those tuples. All covers are
+    enumerated and sorted before the first one is returned."""
     full = (1 << g.n) - 1
     covers = sorted(_bits(full & ~m) for m in _mis_masks(g))
     return iter(covers)
 
 
 def cover_report(g: Graph) -> CoverReport:
+    """The cover landscape of g in one pass over its minimal covers, which
+    are compared as masks: the larger one wins, and of two of the same size
+    the one holding the least vertex where they differ, which is the
+    lexicographically smaller sorted tuple."""
     full = (1 << g.n) - 1
-    best_cover = None
-    count = 0
+    best = count = 0
+    best_size = -1
     for mis in _mis_masks(g):
         count += 1
         cover = full & ~mis
-        key = (-cover.bit_count(), _bits(cover))
-        if best_cover is None or key < best_key:
-            best_cover, best_key = cover, key
-    assert best_cover is not None
-    witness_cover = _bits(best_cover)
-    witness_independent = _bits(full & ~best_cover)
+        size = cover.bit_count()
+        d = cover ^ best
+        if size > best_size or size == best_size and cover & d & -d:
+            best, best_size = cover, size
+    witness_cover = _bits(best)
+    witness_independent = _bits(full & ~best)
     return CoverReport(
         tau_max=len(witness_cover),
         i_min=g.n - len(witness_cover),

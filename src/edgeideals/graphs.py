@@ -1,6 +1,11 @@
 """Immutable simple graphs on vertex labels 0..n-1, with structural
 predicates and transforms.
 
+A vertex set is an int mask in the graph's own labels (bit v for vertex
+v), here and in every layer above: the predicates, `_components` and the
+Hochster sum in `betti` all read `Graph.masks` directly, so none of them
+builds a relabeled `induced_subgraph` to work on.
+
 All functions here are pure; `Graph` instances never change after
 construction and are safe to share across threads.
 """
@@ -16,12 +21,13 @@ from .errors import ParameterRangeError
 class Graph:
     """A finite simple graph: no loops, no multiple edges.
 
-    Vertices are the dense integers 0..n-1. Adjacency is exposed both as
-    frozensets (`neighbors`) and as integer bitmasks (`masks`), which the
-    search-heavy modules use.
+    Vertices are the dense integers 0..n-1. Adjacency is stored as integer
+    bitmasks (`masks`), the one vertex-set format of the package;
+    `neighbors` converts one of them to a frozenset for callers that want
+    a set.
     """
 
-    __slots__ = ("_n", "_masks", "_adj", "_edges", "_hash")
+    __slots__ = ("_n", "_masks", "_edges", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -37,7 +43,6 @@ class Graph:
             masks[v] |= 1 << u
         self._n = n
         self._masks = tuple(masks)
-        self._adj: tuple[frozenset[int], ...] | None = None
         self._edges: tuple[tuple[int, int], ...] | None = None
         self._hash: int | None = None
 
@@ -56,12 +61,6 @@ class Graph:
         return self._masks
 
     @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        if self._adj is None:
-            self._adj = tuple(frozenset(_bits(m)) for m in self._masks)
-        return self._adj
-
-    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as sorted (u, v) pairs with u < v, in lexicographic order."""
         if self._edges is None:
@@ -78,7 +77,7 @@ class Graph:
         return self._edges
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
+        return frozenset(_bits(self._masks[v]))
 
     def degree(self, v: int) -> int:
         return self._masks[v].bit_count()
@@ -217,44 +216,24 @@ def is_gap_free(g: Graph) -> bool:
     return True
 
 
-def lex_bfs_order(g: Graph) -> list[int]:
-    """Lexicographic BFS ordering (ties broken by smallest label)."""
-    sequence: list[list[int]] = [list(range(g.n))]
-    order = []
-    while sequence:
-        cell = sequence[0]
-        v = min(cell)
-        cell.remove(v)
-        if not cell:
-            sequence.pop(0)
-        order.append(v)
-        nb = g.masks[v]
-        new_seq = []
-        for s in sequence:
-            hit = [w for w in s if nb >> w & 1]
-            miss = [w for w in s if not nb >> w & 1]
-            if hit:
-                new_seq.append(hit)
-            if miss:
-                new_seq.append(miss)
-        sequence = new_seq
-    return order
-
-
 def is_chordal(g: Graph) -> bool:
-    """Chordality via LexBFS: the reverse of a LexBFS order is a perfect
-    elimination ordering iff the graph is chordal."""
-    if g.n <= 3:
-        return True
-    order = lex_bfs_order(g)
-    elim = order[::-1]
-    pos = {v: i for i, v in enumerate(elim)}
-    for v in elim:
-        later = [w for w in g.neighbors(v) if pos[w] > pos[v]]
-        if not later:
-            continue
-        w = min(later, key=pos.__getitem__)
-        rest = set(later) - {w}
-        if not rest <= g.neighbors(w):
-            return False
+    """Chordality by maximum cardinality search (Tarjan and Yannakakis,
+    SIAM J. Comput. 13, 1984): visit next an unvisited vertex with the most
+    visited neighbours, the least such label first. The reverse visit order
+    is a perfect elimination ordering iff g is chordal, that is iff the
+    neighbours visited before each vertex form a clique."""
+    masks = g.masks
+    visited = 0
+    todo = (1 << g.n) - 1
+    while todo:
+        v = max(_bits(todo), key=lambda u: (masks[u] & visited).bit_count())
+        earlier = masks[v] & visited
+        m = earlier
+        while m:
+            low = m & -m
+            m ^= low
+            if earlier & ~masks[low.bit_length() - 1] != low:
+                return False
+        visited |= 1 << v
+        todo ^= 1 << v
     return True

@@ -12,6 +12,8 @@ Conventions (these decide degree-0 and degree-(-1) behavior downstream):
 A face is an int vertex mask, as everywhere in the package: bit v stands
 for vertex v and the empty face is 0. The boundary of f is the faces
 f ^ low, one per set bit low of f, signed alternately in ascending order.
+`independence_complex(g, w)` builds Ind(G[W]) for a vertex mask w of g
+with faces in g's own labels, so no induced subgraph is relabeled first.
 
 Ranks are exact. Over GF(2) boundary columns are bitmasks eliminated by
 XOR (`_rank_gf2`); over GF(p) for odd p and over Q one sparse kernel
@@ -111,17 +113,19 @@ class SimplicialComplex:
         return len(self.faces_by_dim.get(k, ()))
 
 
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """Faces are the independent sets of g (the empty set included).
+def independence_complex(g: Graph, w: int | None = None) -> SimplicialComplex:
+    """Ind(G[W]): faces are the independent sets of g inside the vertex
+    mask w (all of g when w is None), the empty set included, as masks in
+    g's own labels.
 
     Each k-face grows into the (k+1)-faces that add one vertex above its
     largest, in ascending vertex order, so face lists are lexicographically
     sorted within each dimension. `free` holds the vertices a face can
-    still take: those above its largest with no neighbour in it.
+    still take: those of w above its largest with no neighbour in it.
     """
     masks = g.masks
     by_dim: dict[int, list[int]] = {-1: [0]}
-    level = [(0, (1 << g.n) - 1)]
+    level = [(0, (1 << g.n) - 1 if w is None else w)]
     for k in range(g.n):
         grown = []
         for face, free in level:

@@ -98,8 +98,14 @@ def graph_and_subset(draw):
 def test_folding_keeps_homology(case, c):
     g, w = case
     field = FieldSpec(c)
-    unfolded = homology_dims(independence_complex(induced_subgraph(g, w)), field)
+    relabeled = independence_complex(induced_subgraph(g, w))
+    unfolded = homology_dims(relabeled, field)
     assert hochster_summand(g, w, field) == unfolded
+    # the same complex built on g's own labels, from the vertex mask of w
+    in_place = independence_complex(g, sum(1 << v for v in w))
+    assert homology_dims(in_place, field) == unfolded
+    assert ({k: len(f) for k, f in in_place.faces_by_dim.items()}
+            == {k: len(f) for k, f in relabeled.faces_by_dim.items()})
 
 
 def test_g14_table_pinned_and_field_independent():

@@ -64,6 +64,17 @@ def test_cover_report_witnesses(small_corpus):
                 assert g.neighbors(v) & ws
 
 
+def test_witness_cover_is_least_of_the_largest(small_corpus):
+    # the documented choice: of the largest minimal covers, the
+    # lexicographically least sorted tuple
+    every_class = [g for n in range(7) for g in enumerate_graphs(n)]
+    for g in every_class + small_corpus:
+        covers = minimal_covers_bruteforce(g)
+        largest = max(map(len, covers))
+        expected = min(c for c in covers if len(c) == largest)
+        assert cover_report(g).witness_cover == expected, g.edges
+
+
 def test_tau_max_known_values():
     assert tau_max(pendant_clique(5)) == 8
     for q in range(2, 8):

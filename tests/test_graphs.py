@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeideals.atlas import enumerate_graphs
 from edgeideals.errors import ParameterRangeError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
@@ -126,9 +127,9 @@ def test_chordal_known_cases():
 
 
 def test_chordal_agrees_with_bruteforce(small_corpus):
-    for g in small_corpus:
-        if g.n <= 7:
-            assert is_chordal(g) == is_chordal_bruteforce(g)
+    every_class = [g for n in range(8) for g in enumerate_graphs(n)]
+    for g in [g for g in small_corpus if g.n <= 7] + every_class:
+        assert is_chordal(g) == is_chordal_bruteforce(g), g.edges
 
 
 def test_gap_free_known_cases():
