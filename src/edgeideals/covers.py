@@ -1,18 +1,19 @@
 """Exact cover and matching invariants.
 
-Minimal vertex covers are enumerated as complements of maximal independent
-sets, which in turn come from Bron-Kerbosch-with-pivot clique enumeration on
-the complement graph; this and the induced matching number are exponential
-searches, desk scale (roughly n <= 40 for the structured families, n <= 25
-in general). The matching number comes from Edmonds' blossom algorithm in
-O(n^3) time and O(n) memory, iterative, so it is exact at any n.
+One iterative Bron-Kerbosch search lists maximal independent sets, for
+both exponential invariants: minimal vertex covers are their complements,
+and induced matchings are the independent sets of the conflict graph on the
+edges (Cameron, *Induced matchings*, Discrete Appl. Math. 24, 1989). Desk
+scale: roughly n <= 40 for the structured families, n <= 25 in general.
+The matching number comes from Edmonds' blossom algorithm in O(n^3) time
+and O(n) memory, iterative, so it is exact at any n.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import Graph, _bits
 
@@ -33,28 +34,26 @@ class CoverReport:
     num_minimal_covers: int
 
 
-def _mis_masks(g: Graph) -> Iterator[int]:
-    """Maximal independent sets of g, as bitmasks, in no particular order.
+def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
+    """Maximal independent sets of the graph with adjacency masks `masks`,
+    as bitmasks, in no particular order.
 
-    Bron-Kerbosch with pivoting, run on the complement: cliques of the
-    complement are exactly the independent sets of g.
+    Bron-Kerbosch with pivoting on the complement, whose cliques are the
+    independent sets, on an explicit stack of (r, p, x) frames. Isolated
+    vertices lie in every maximal independent set, so they start in r.
     """
-    n = g.n
-    if n == 0:
-        yield 0
-        return
-    full = (1 << n) - 1
-    comp = [full & ~m & ~(1 << v) for v, m in enumerate(g.masks)]
-
-    def bk(r: int, p: int, x: int):
+    full = (1 << len(masks)) - 1
+    comp = [full & ~m & ~(1 << v) for v, m in enumerate(masks)]
+    isolated = sum(1 << v for v, m in enumerate(masks) if not m)
+    stack = [(isolated, full & ~isolated, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             yield r
-            return
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best = pivot
-        best_deg = (comp[pivot] & p).bit_count()
-        pool = pivot_pool
+            continue
+        pool = p | x
+        best = (pool & -pool).bit_length() - 1
+        best_deg = (comp[best] & p).bit_count()
         while pool:
             low = pool & -pool
             v = low.bit_length() - 1
@@ -63,20 +62,20 @@ def _mis_masks(g: Graph) -> Iterator[int]:
                 best, best_deg = v, deg
             pool ^= low
         cand = p & ~comp[best]
+        children = []
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
-            yield from bk(r | low, p & comp[v], x & comp[v])
+            children.append((r | low, p & comp[v], x & comp[v]))
             p &= ~low
             x |= low
             cand ^= low
-
-    yield from bk(0, full, 0)
+        stack.extend(reversed(children))
 
 
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All maximal independent sets, sorted lexicographically."""
-    return sorted(_bits(m) for m in _mis_masks(g))
+    return sorted(_bits(m) for m in _mis_masks(g.masks))
 
 
 def enumerate_minimal_covers(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -84,7 +83,7 @@ def enumerate_minimal_covers(g: Graph) -> Iterator[tuple[int, ...]]:
     vertex tuple, in lexicographic order of those tuples. All covers are
     enumerated and sorted before the first one is returned."""
     full = (1 << g.n) - 1
-    covers = sorted(_bits(full & ~m) for m in _mis_masks(g))
+    covers = sorted(_bits(full & ~m) for m in _mis_masks(g.masks))
     return iter(covers)
 
 
@@ -96,7 +95,7 @@ def cover_report(g: Graph) -> CoverReport:
     full = (1 << g.n) - 1
     best = count = 0
     best_size = -1
-    for mis in _mis_masks(g):
+    for mis in _mis_masks(g.masks):
         count += 1
         cover = full & ~mis
         size = cover.bit_count()
@@ -116,7 +115,7 @@ def cover_report(g: Graph) -> CoverReport:
 
 def tau_max(g: Graph) -> int:
     """Size of a maximum minimal vertex cover."""
-    return max(g.n - m.bit_count() for m in _mis_masks(g))
+    return max(g.n - m.bit_count() for m in _mis_masks(g.masks))
 
 
 def is_vertex_cover(g: Graph, vertices) -> bool:
@@ -220,25 +219,21 @@ def matching_number(g: Graph) -> int:
 
 
 def induced_matching_number(g: Graph) -> int:
-    """Largest matching whose union of endpoints induces no other edge."""
+    """Largest matching whose union of endpoints induces no other edge: the
+    largest set `_mis_masks` yields on the conflict graph of E(g) (Cameron
+    1989). Edge uv conflicts with every edge at a vertex of N[u] | N[v],
+    the OR of the incident-edge masks `inc[w]` over the neighbours w of u
+    and of v."""
     edges = g.edges
     if not edges:
         return 0
-    closed = [(1 << u) | (1 << v) | g.masks[u] | g.masks[v] for u, v in edges]
-    m = len(edges)
-    best = 0
-
-    def rec(start: int, banned: int, size: int):
-        nonlocal best
-        if size > best:
-            best = size
-        for idx in range(start, m):
-            if size + (m - idx) <= best:
-                break
-            u, v = edges[idx]
-            if banned >> u & 1 or banned >> v & 1:
-                continue
-            rec(idx + 1, banned | closed[idx], size + 1)
-
-    rec(0, 0, 0)
-    return best
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    near = [0] * g.n
+    for u, v in edges:
+        near[u] |= inc[v]
+        near[v] |= inc[u]
+    conflict = [(near[u] | near[v]) & ~(1 << i) for i, (u, v) in enumerate(edges)]
+    return max(s.bit_count() for s in _mis_masks(conflict))

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive and shares no code with the package
 internals: subset scans, exhaustive enumerations, dense matrices, Fraction
-arithmetic, no bitsets, no memoization, no shortcuts. Two exceptions:
+arithmetic, no bitsets, no memoization, no shortcuts. Three exceptions:
 `matching_branching`, an exact memoized branching search on vertex
 bitmasks, is independent of the package's blossom algorithm and fast
-enough to check matchings up to n of about 18; `atlas_levels_unpruned`
+enough to check matchings up to n of about 18; `induced_matching_branching`,
+a recursive branch and bound over the edges, is independent of the
+package's Bron-Kerbosch search on the conflict graph; `atlas_levels_unpruned`
 calls the package's public `canonical_bits`, whose own tests check it
 against brute-force isomorphism, and checks the atlas's orbit pruning.
 """
@@ -106,6 +108,35 @@ def induced_matching_bruteforce(g: Graph) -> int:
         induced = [e for e in edges if e[0] in vs and e[1] in vs]
         if len(induced) == len(chosen):
             best = max(best, len(chosen))
+    return best
+
+
+def induced_matching_branching(g: Graph) -> int:
+    """Induced matching number by a recursive branch and bound over the
+    edges, the reference for the package's `induced_matching_number`.
+    Taking edge (u, v) bans every vertex of N[u] | N[v]; a branch stops
+    when the edges left cannot beat the best size found. Recursion is as
+    deep as the induced matching number."""
+    edges = g.edges
+    if not edges:
+        return 0
+    closed = [(1 << u) | (1 << v) | g.masks[u] | g.masks[v] for u, v in edges]
+    m = len(edges)
+    best = 0
+
+    def rec(start: int, banned: int, size: int):
+        nonlocal best
+        if size > best:
+            best = size
+        for idx in range(start, m):
+            if size + (m - idx) <= best:
+                break
+            u, v = edges[idx]
+            if banned >> u & 1 or banned >> v & 1:
+                continue
+            rec(idx + 1, banned | closed[idx], size + 1)
+
+    rec(0, 0, 0)
     return best
 
 

@@ -14,8 +14,9 @@ from edgeideals.families import (complete_graph, complete_bipartite,
                                  path_graph, pendant_clique, two_k2)
 from edgeideals.gio import from_graph6
 from edgeideals.graphs import Graph, is_gap_free, isolated_vertices
-from oracles import (induced_matching_bruteforce, matching_branching,
-                     matching_bruteforce, minimal_covers_bruteforce)
+from oracles import (induced_matching_branching, induced_matching_bruteforce,
+                     matching_branching, matching_bruteforce,
+                     minimal_covers_bruteforce)
 
 
 def test_c4_minimal_covers():
@@ -125,6 +126,7 @@ def test_matching_equals_branching_oracle_every_graph_to_n7():
     for n in range(8):
         for g in enumerate_graphs(n):
             assert matching_number(g) == matching_branching(g), g.edges
+            assert induced_matching_number(g) == induced_matching_branching(g), g.edges
 
 
 def test_matching_equals_branching_oracle_random():
@@ -133,6 +135,8 @@ def test_matching_equals_branching_oracle_random():
             for seed in range(20):
                 g = random_graph(n, p, seed)
                 assert matching_number(g) == matching_branching(g), (n, p, seed)
+                assert (induced_matching_number(g)
+                        == induced_matching_branching(g)), (n, p, seed)
 
 
 # C5 on 0..4 with the spokes i -- i + 5; the pentagram on 5..9 completes
@@ -169,6 +173,24 @@ def test_matching_blossom_graphs_pinned(g, nu):
 def test_matching_scales_without_recursion():
     assert matching_number(path_graph(2000)) == 1000
     assert matching_number(cycle_graph(3001)) == 1500
+    # the Bron-Kerbosch search behind covers and induced matchings keeps an
+    # explicit stack: K_{1,1499} has a branch of depth 1499
+    rep = cover_report(complete_bipartite(1, 1499))
+    assert (rep.tau_max, rep.num_minimal_covers) == (1499, 2)
+    assert rep.witness_cover == tuple(range(1, 1500))
+    # isolated vertices start out in every set: no branch at all
+    assert tau_max(Graph(3000)) == 0
+    disjoint_edges = Graph(3000, [(2 * i, 2 * i + 1) for i in range(1500)])
+    assert induced_matching_number(disjoint_edges) == 1500
+
+
+def test_induced_matching_of_long_paths_and_cycles():
+    # path_graph(m) has m edges: every third one, from the first, is an
+    # induced matching; a cycle of length k fits floor(k / 3)
+    for m in range(1, 41):
+        assert induced_matching_number(path_graph(m)) == -(-m // 3), m
+    for k in range(3, 37):
+        assert induced_matching_number(cycle_graph(k)) == k // 3, k
 
 
 def test_induced_matching_le_matching(small_corpus):
