@@ -190,7 +190,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--char", type=int, default=2)
     p.add_argument("--max-n", type=int, default=None,
-                   help="homology cutoff for verify spectrum (default "
+                   help="homology cutoff for verify spectrum: (pd, reg) is "
+                        "checked for n <= this (default: the Betti cap, "
                         f"{atlas.SPECTRUM_HOMOLOGY_MAX_N})")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=_cmd_verify)

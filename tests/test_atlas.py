@@ -67,6 +67,17 @@ def test_canonical_known_distinctions():
     assert canonical_form(relabel(k3k1, [3, 1, 0, 2])) == canonical_form(k3k1)
 
 
+def test_canonical_bits_pinned():
+    # The form is the least leaf of the refinement search tree, which for
+    # this K3 + K2 is not the least bitstring over all 120 orders: 184
+    # reads the same graph. Pinned, so that a change to the form, which
+    # moves pdr_spectrum's witnesses, fails here.
+    g = Graph(5, [(0, 2), (0, 4), (1, 3), (2, 4)])
+    assert {canonical_bits(relabel(g, perm).masks, 5)
+            for perm in permutations(range(5))} == {531}
+    assert brute_isomorphic(CanonicalForm(5, 184).graph(), g)
+
+
 def test_canonical_form_roundtrip_and_cap():
     g = pendant_clique(3)
     form = canonical_form(g)
@@ -227,6 +238,14 @@ def test_verify_spectrum_small():
         for p in range(cover_lower_bound(n), n):
             assert (n, p) in pairs
     assert all(c.pd == c.p and c.reg == 1 for c in checks)
+
+
+def test_verify_spectrum_homology_to_betti_cap():
+    # the default cutoff is the Betti cap: every pair up to n = 16 gets its
+    # (pd, reg) from the subset sum
+    checks = verify_spectrum(16)
+    assert len(checks) == 73
+    assert all(c.pd is not None and c.ok for c in checks)
 
 
 def test_pdr_spectrum_small():

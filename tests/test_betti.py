@@ -1,22 +1,27 @@
+import random
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeideals.atlas import enumerate_graphs, random_graph
-from edgeideals.betti import (betti_json_dict, betti_table, dual_check,
-                              dual_regularity, field_disagreements,
-                              hochster_summand, pd_and_reg, proj_dim,
-                              regularity, render_betti_ascii)
+from edgeideals.betti import (_subset_sum, _tensor, betti_json_dict,
+                              betti_table, dual_check, dual_regularity,
+                              field_disagreements, hochster_summand,
+                              pd_and_reg, proj_dim, regularity,
+                              render_betti_ascii)
 from edgeideals.covers import induced_matching_number, matching_number, tau_max
 from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_bipartite, complete_graph,
                                  cycle_graph, path_graph, pendant_clique,
                                  two_k2)
 from edgeideals.gio import from_graph6
-from edgeideals.graphs import (Graph, disjoint_union, induced_subgraph,
-                               is_chordal, isolated_vertices)
+from edgeideals.graphs import (Graph, _components, disjoint_union,
+                               induced_subgraph, is_chordal, isolated_vertices)
 from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, homology_dims,
                                  independence_complex)
+from edgeideals.spectrum import build_pdr_graph, pdr_range
 from oracles import betti_table_naive, dual_regularity_naive
 
 # Golden tables, confirmed by the naive oracle in
@@ -82,6 +87,86 @@ def test_engine_equals_naive_oracle_every_graph_to_n6():
                 t = betti_table(g, field)
                 assert t.entries == betti_table_naive(g, c), (g.edges, c)
                 assert pd_and_reg(g, field) == (t.pd, t.reg), (g.edges, c)
+
+
+def _plain_sum(g, field):
+    """The table as the product, over the components, of the subset sum
+    over every subset of the whole component: no leaf split."""
+    entries = {(0, 0): 1}
+    for comp in _components(g.masks, (1 << g.n) - 1):
+        entries = _tensor(entries, _subset_sum(g, comp, field, {}))
+    return entries
+
+
+def test_leaf_split_equals_plain_sum_every_graph_to_n7():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            for c in (2, 3, 0):
+                field = FieldSpec(c)
+                assert (betti_table(g, field).entries
+                        == _plain_sum(g, field)), (g.edges, c)
+
+
+def _leaf_heavy_graphs(n, seed):
+    """A random tree, the pdr graphs at the least legal p for r = 1 and 2,
+    and G(n, 0.2), all on n vertices."""
+    rng = random.Random(seed)
+    out = [Graph(n, [(rng.randrange(v), v) for v in range(1, n)])]
+    out += [build_pdr_graph(n, pdr_range(n, r)[0], r) for r in (1, 2)]
+    out.append(random_graph(n, .2, seed))
+    return out
+
+
+def test_leaf_split_equals_naive_oracle_on_leaf_heavy_graphs():
+    for n in (8, 9, 10):
+        for g in _leaf_heavy_graphs(n, 100 + n):
+            assert betti_table(g).entries == betti_table_naive(g), g.edges
+    for g in _leaf_heavy_graphs(8, 7):
+        for c in (3, 0):
+            assert (betti_table(g, FieldSpec(c)).entries
+                    == betti_table_naive(g, c)), (g.edges, c)
+
+
+@st.composite
+def graph_with_leaves(draw):
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    k = draw(st.integers(1, 3))
+    for leaf in range(n, n + k):
+        edges.append((draw(st.integers(0, leaf - 1)), leaf))
+    return Graph(n + k, edges)
+
+
+@given(graph_with_leaves(), st.sampled_from((2, 3, 0)))
+@settings(max_examples=40, deadline=None)
+def test_leaf_split_identity_on_naive_oracle(g, c):
+    # B_G = B_{G - l} + s t^2 (1 + s t)^(d-1) B_{G - N[c]} for every leaf
+    # l of G, with c its neighbour and d the degree of c
+    table = betti_table_naive(g, c)
+    everything = set(range(g.n))
+    for leaf in range(g.n):
+        if g.degree(leaf) != 1:
+            continue
+        (nb,) = g.neighbors(leaf)
+        closed = set(g.neighbors(nb)) | {nb}
+        rest = betti_table_naive(induced_subgraph(g, everything - {leaf}), c)
+        far = betti_table_naive(induced_subgraph(g, everything - closed), c)
+        d = g.degree(nb)
+        step = {(1 + k, 2 + k): comb(d - 1, k) for k in range(d)}
+        split = dict(rest)
+        for key, x in _tensor(step, far).items():
+            split[key] = split.get(key, 0) + x
+        assert split == table, (g.edges, leaf)
+
+
+def test_star_betti_numbers_are_binomial():
+    # I(K_{1,k}) = x (y_1, .., y_k), a shifted Koszul complex:
+    # beta_{i,i+1} = C(k, i) for 1 <= i <= k, and nothing else past (0, 0)
+    for k in range(1, 16):
+        want = {(0, 0): 1, **{(i, i + 1): comb(k, i) for i in range(1, k + 1)}}
+        for field in ((GF2, GF3, QQ) if k <= 8 else (GF2,)):
+            assert betti_table(complete_bipartite(1, k), field).entries == want
 
 
 @st.composite

@@ -151,9 +151,23 @@ def test_env_cap_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_mis_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("EDGEIDEALS_MAX_MIS", "5")
+    code, out, err = run(capsys, "invariants", "--family", "c:12")
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.startswith("resource limit:") and len(err.splitlines()) == 1
+    assert "EDGEIDEALS_MAX_MIS" in err
+    # C_12 has 29 maximal independent sets; the conflict graph of its edges,
+    # searched for the induced matching number, has 31
+    monkeypatch.setenv("EDGEIDEALS_MAX_MIS", "31")
+    code, out, _ = run(capsys, "invariants", "--family", "c:12")
+    assert code == 0 and json.loads(out)["num_minimal_covers"] == 29
+
+
 @pytest.mark.parametrize("var, argv", [
     ("EDGEIDEALS_MAX_BETTI_N", ("betti", "--family", "c4")),
     ("EDGEIDEALS_MAX_ENUM_N", ("enumerate", "--n", "3")),
+    ("EDGEIDEALS_MAX_MIS", ("invariants", "--family", "c4")),
 ])
 def test_env_cap_not_an_integer_is_usage_error(capsys, monkeypatch, var, argv):
     monkeypatch.setenv(var, "abc")

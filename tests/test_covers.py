@@ -9,6 +9,7 @@ from edgeideals.covers import (_maximum_matching, cover_report,
                                is_minimal_vertex_cover, is_vertex_cover,
                                matching_number, maximal_independent_sets,
                                tau_max)
+from edgeideals.errors import ResourceLimitError
 from edgeideals.families import (complete_graph, complete_bipartite,
                                  cycle_graph, extremal_pendant_clique,
                                  path_graph, pendant_clique, two_k2)
@@ -191,6 +192,23 @@ def test_induced_matching_of_long_paths_and_cycles():
         assert induced_matching_number(path_graph(m)) == -(-m // 3), m
     for k in range(3, 37):
         assert induced_matching_number(cycle_graph(k)) == k // 3, k
+
+
+def test_mis_search_cap_from_environment(monkeypatch):
+    # C_12 has 29 maximal independent sets (the Perrin number P(12))
+    c12 = cycle_graph(12)
+    monkeypatch.setenv("EDGEIDEALS_MAX_MIS", "29")
+    assert cover_report(c12).num_minimal_covers == 29
+    assert len(maximal_independent_sets(c12)) == 29
+    monkeypatch.setenv("EDGEIDEALS_MAX_MIS", "28")
+    for f in (cover_report, tau_max, maximal_independent_sets,
+              enumerate_minimal_covers):
+        with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_MIS"):
+            f(c12)
+    # the conflict graph of the 12 edges of C_12 has 31
+    monkeypatch.setenv("EDGEIDEALS_MAX_MIS", "1")
+    with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_MIS"):
+        induced_matching_number(c12)
 
 
 def test_induced_matching_le_matching(small_corpus):
