@@ -28,7 +28,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import betti, covers, gio, spectrum
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
@@ -83,32 +83,48 @@ def _twin_classes(masks: tuple[int, ...], n: int) -> list[int]:
     return twin_rep
 
 
-def _refine(cells: list[list[int]], masks: tuple[int, ...]) -> list[list[int]]:
-    """Equitable refinement of an ordered partition: split every cell by
-    neighbor counts into every cell, sub-cells ordered by count, until
-    stable. Deterministic and relabeling-invariant."""
+def _refine(cells: list[list[int]], masks: tuple[int, ...],
+            quiet: Iterable[int] = ()) -> list[list[int]]:
+    """Equitable refinement of an ordered partition: take the first cell
+    whose mask splits some cell by neighbor counts, split every cell by it,
+    sub-cells ordered by count, and repeat until stable. Deterministic and
+    relabeling-invariant.
+
+    A cell mask that splits no cell of a partition splits no cell of a finer
+    one, so a mask found quiet is not tested again. `quiet` seeds that set
+    with masks known to split nothing, such as the cells of an equitable
+    partition that `cells` refines; the result does not depend on it."""
+    quiet = set(quiet)
     while True:
-        changed = False
-        for smask in [sum(1 << v for v in c) for c in cells]:
-            new_cells = []
-            for cell in cells:
+        for splitter in cells:
+            smask = 0
+            for v in splitter:
+                smask |= 1 << v
+            if smask in quiet:
+                continue
+            new_cells = None
+            for ci, cell in enumerate(cells):
                 if len(cell) == 1:
-                    new_cells.append(cell)
+                    if new_cells is not None:
+                        new_cells.append(cell)
                     continue
                 buckets: dict[int, list[int]] = {}
                 for v in cell:
                     buckets.setdefault((masks[v] & smask).bit_count(),
                                        []).append(v)
                 if len(buckets) == 1:
-                    new_cells.append(cell)
-                else:
-                    changed = True
-                    for k in sorted(buckets):
-                        new_cells.append(buckets[k])
-            cells = new_cells
-            if changed:
+                    if new_cells is not None:
+                        new_cells.append(cell)
+                    continue
+                if new_cells is None:
+                    new_cells = cells[:ci]
+                for k in sorted(buckets):
+                    new_cells.append(buckets[k])
+            if new_cells is not None:
+                cells = new_cells
                 break
-        if not changed:
+            quiet.add(smask)
+        else:
             return cells
 
 
@@ -193,6 +209,8 @@ def _canonical_search(masks: tuple[int, ...], n: int
                     auts.append(tperm)
             return
         stab = [a for a in auts if all(a[x] == x for x in fixed)]
+        # cells is equitable: none of its cells splits a cell of a child
+        settled = [sum(1 << u for u in cell) for cell in cells]
         done: set[int] = set()
         for v in cells[target]:
             if v in done:
@@ -200,7 +218,7 @@ def _canonical_search(masks: tuple[int, ...], n: int
             done |= orbit(v, stab)
             rest = [u for u in cells[target] if u != v]
             new_cells = cells[:target] + [[v], rest] + cells[target + 1:]
-            node(_refine(new_cells, masks), fixed + (v,))
+            node(_refine(new_cells, masks, settled), fixed + (v,))
             stab = [a for a in auts if all(a[x] == x for x in fixed)]
 
     node(_refine([list(range(n))], masks), ())
@@ -264,6 +282,9 @@ def _atlas_level(n: int) -> list[Graph]:
     generation*, J. Algorithms 26, 1998). The first child met for each
     class, and so every representative and its position, is the same as
     when all 2^(n-1) sets are tried.
+
+    A child is built from its parent's masks, so no level caches an edge
+    tuple on the graphs it keeps.
     """
     cached = _ATLAS_CACHE.get(n)
     if cached is not None:
@@ -272,8 +293,9 @@ def _atlas_level(n: int) -> list[Graph]:
     seen: set[int] = set()
     level: list[Graph] = []
     new = n - 1
+    bit = 1 << new
     for parent in parents:
-        base = parent.edges
+        base = parent.masks
         # A set A and its image under an automorphism a of the parent give
         # isomorphic children (extend a by fixing the new vertex), and the
         # least set of the orbit comes first in this loop, so each skipped
@@ -281,19 +303,14 @@ def _atlas_level(n: int) -> list[Graph]:
         # automorphisms binds, the perms generate a subgroup with finer
         # orbits: more sets are tried, and `seen` still keeps the same
         # first child.
-        auts = _canonical_search(parent.masks, new)[1]
+        auts = _canonical_search(base, new)[1]
         for attach in _orbit_least_masks(auts, new):
-            edges = list(base)
-            m = attach
-            while m:
-                low = m & -m
-                edges.append((low.bit_length() - 1, new))
-                m ^= low
-            child = Graph(n, edges)
-            bits = canonical_bits(child.masks, n)
+            masks = tuple(m | bit if attach >> u & 1 else m
+                          for u, m in enumerate(base)) + (attach,)
+            bits = canonical_bits(masks, n)
             if bits not in seen:
                 seen.add(bits)
-                level.append(child)
+                level.append(Graph._from_masks(masks))
     _ATLAS_CACHE[n] = level
     return level
 
@@ -303,6 +320,8 @@ def enumerate_graphs(n: int, filter: str = "all",
     """Exactly one representative per isomorphism class on n vertices.
 
     filter: 'all', 'no-isolated' (no isolated vertices), or 'connected'.
+    Each class comes as a new Graph on the atlas's masks: what a caller
+    caches on it (Graph.edges) is freed with it, not kept by the atlas.
     """
     if n < 0:
         raise ParameterRangeError(f"vertex count must be >= 0, got {n}")
@@ -317,7 +336,7 @@ def enumerate_graphs(n: int, filter: str = "all",
             continue
         if filter == "connected" and not is_connected(g):
             continue
-        yield g
+        yield Graph._from_masks(g.masks)
 
 
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
@@ -552,6 +571,7 @@ class PdrSpectrumReport:
     characteristic: int
     points: tuple[PdrPoint, ...]
     classes_visited: int
+    certified: int  # classes whose pair pd_reg_bounds pins, with no sum
 
     @property
     def pairs(self) -> set[tuple[int, int]]:
@@ -575,25 +595,33 @@ class PdrSpectrumReport:
                 for p, r in sorted(self.pairs)]
 
 
-PDR_SPECTRUM_MAX_N = 8
+PDR_SPECTRUM_MAX_N = 9
 
 
 def pdr_spectrum(n: int, field: FieldSpec = GF2) -> PdrSpectrumReport:
     """Compute (pd, reg) for every isolate-free isomorphism class on n
     vertices; the witness kept per pair is the first class encountered in
-    enumeration order."""
+    enumeration order. A class whose bounds from betti.pd_reg_bounds meet
+    gets its pair from them, the same over every field; only the others
+    go through the Hochster sum."""
     if n < 2:
         raise ParameterRangeError(f"pdr_spectrum needs n >= 2, got {n}")
     if n > PDR_SPECTRUM_MAX_N:
         raise ResourceLimitError(
             f"pdr_spectrum supports n <= {PDR_SPECTRUM_MAX_N}, got {n}")
     found: dict[tuple[int, int], CanonicalForm] = {}
-    visited = 0
+    visited = certified = 0
     for g in enumerate_graphs(n, "no-isolated"):
         visited += 1
-        pr = betti.pd_and_reg(g, field)
+        pd_lo, pd_hi, reg_lo, reg_hi = betti.pd_reg_bounds(g)
+        if pd_lo == pd_hi and reg_lo == reg_hi:
+            certified += 1
+            pr = pd_lo, reg_lo
+        else:
+            pr = betti.pd_and_reg(g, field)
         if pr not in found:
             found[pr] = CanonicalForm(n, canonical_bits(g.masks, n))
     points = tuple(PdrPoint(p, r, w) for (p, r), w in sorted(found.items()))
     return PdrSpectrumReport(n=n, characteristic=field.characteristic,
-                             points=points, classes_visited=visited)
+                             points=points, classes_visited=visited,
+                             certified=certified)

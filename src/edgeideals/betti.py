@@ -42,6 +42,26 @@ any entry, over any field:
   piece is memoized on its own; it is fold-stable, since no vertex of a
   piece has a neighbour outside it.
 
+pd_reg_bounds boxes pd and reg without visiting a subset, over every field:
+
+* pd >= tau_max: pd(S/I) is at least bight(I), the largest height of a
+  minimal prime, and the minimal primes of I(G) are the minimal vertex
+  covers; reg >= the induced matching number (Katzman, J. Combin. Theory
+  Ser. A 113, 2006);
+* for a non-isolated x the exact sequence
+  0 -> S/(I : x)(-1) -> S/I -> S/(I, x) -> 0, with (I : x) = (I(G - N[x]),
+  N(x)) and (I, x) = (I(G - x), x), gives
+      pd(G) <= max(pd(G - N[x]) + deg x, pd(G - x) + 1),
+      reg(G) <= max(reg(G - x), reg(G - N[x]) + 1)
+  (Dao, Huneke and Schweig, J. Algebraic Combin. 38, 2013, Lemma 3.1).
+  Recursing on both masks gives the upper bounds.
+
+When the bounds meet, the pair is pinned with no homology at all, so the
+same over every field. The reg recursion is a bound, not an identity:
+reg(G - N[x]) + 1 <= reg(G) fails in general, and the flag RP^2 graph
+JhW[X`LtKF? (reg 3 over GF(2), 2 over Q) has the box pd in [8, 9], reg in
+[2, 3], which holds both fields' pairs.
+
 dual_regularity gives the cover-ideal side used by dual_check: the same
 sum over the complex of non-covers (the Alexander dual of the independence
 complex). There only vertex covers W contribute, since a non-cover W
@@ -289,6 +309,48 @@ def pd_and_reg(g: Graph, field: FieldSpec = GF2,
     among its nonzero entries."""
     t = betti_table(g, field, max_n)
     return t.pd, t.reg
+
+
+def pd_reg_bounds(g: Graph) -> tuple[int, int, int, int]:
+    """(pd_lo, pd_hi, reg_lo, reg_hi): exact bounds on pd and reg of S/I(G)
+    over every field, with no subset visited (see the module docstring).
+
+    The lower bounds are tau_max and the induced matching number. The upper
+    bounds recurse on vertex masks of g, one memo per call: isolated
+    vertices are dropped, an edgeless mask gives (0, 0), and otherwise the
+    least vertex x of largest degree is the pivot, with
+    pd <= max(pd(G - N[x]) + deg x, pd(G - x) + 1) and
+    reg <= max(reg(G - x), reg(G - N[x]) + 1). The cap is betti_table's,
+    set by EDGEIDEALS_MAX_BETTI_N."""
+    _check_cap(g, None, "pd_reg_bounds")
+    masks = g.masks
+    memo: dict[int, tuple[int, int]] = {}
+
+    def upper(w: int) -> tuple[int, int]:
+        live = 0
+        deg = 0
+        m = w
+        while m:
+            low = m & -m
+            d = (masks[low.bit_length() - 1] & w).bit_count()
+            if d:
+                live |= low
+                if d > deg:
+                    deg, x = d, low
+            m ^= low
+        if not live:
+            return 0, 0
+        hit = memo.get(live)
+        if hit is None:
+            pd_del, reg_del = upper(live ^ x)
+            pd_link, reg_link = upper(live & ~x & ~masks[x.bit_length() - 1])
+            hit = memo[live] = (max(pd_link + deg, pd_del + 1),
+                                max(reg_del, reg_link + 1))
+        return hit
+
+    pd_hi, reg_hi = upper((1 << g.n) - 1)
+    return (covers.tau_max(g), pd_hi,
+            covers.induced_matching_number(g), reg_hi)
 
 
 def proj_dim(g: Graph, field: FieldSpec = GF2, max_n: int | None = None) -> int:

@@ -125,6 +125,7 @@ def _cmd_verify(args) -> int:
             print(json.dumps({
                 "n": rep.n, "char": rep.characteristic,
                 "classes_visited": rep.classes_visited,
+                "certified": rep.certified,
                 "points": [{"p": pt.p, "r": pt.r, "witness": pt.graph6()}
                            for pt in rep.points],
                 "r1_row_ok": row_ok,

@@ -46,6 +46,18 @@ class Graph:
         self._edges: tuple[tuple[int, int], ...] | None = None
         self._hash: int | None = None
 
+    @classmethod
+    def _from_masks(cls, masks: tuple[int, ...]) -> Graph:
+        """The graph with these adjacency masks, taken as given: symmetric
+        and loop-free, as the masks of another Graph are. Nothing is
+        cached on it yet."""
+        g = cls.__new__(cls)
+        g._n = len(masks)
+        g._masks = masks
+        g._edges = None
+        g._hash = None
+        return g
+
     @property
     def n(self) -> int:
         return self._n

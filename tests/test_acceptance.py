@@ -5,6 +5,7 @@ the isomorph-free atlas up to n = 9, built once per process and reused.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +215,22 @@ def test_criterion_9_oracle_equivalence():
     _report("9 (oracle equivalence)", bad == 0, t0, 600,
             f"covers exhaustively checked to n=6 + 200 random; "
             f"Euler-Poincare on {complexes} complexes x 3 fields")
+
+
+def test_criterion_10_pdr_spectrum_n9():
+    # every isolate-free class on 9 vertices, against the committed output
+    # of `edgeideals verify pdr-spec --n 9`; most pairs come from the
+    # bounds, the rest from the Hochster sum
+    t0 = time.perf_counter()
+    rep = pdr_spectrum(9, GF2)
+    committed = (Path(__file__).resolve().parents[1] / "data"
+                 / "pdr_spectrum_n9.csv").read_text().splitlines()[1:]
+    ok = (rep.classes_visited == ISOLATE_FREE_COUNTS[9]
+          and rep.certified == 242620
+          and rep.csv_lines() == committed
+          and rep.row(1) == rep.expected_r1_row()
+          and not rep.conjecture_violations()
+          and {(p, r) for p, r in rep.pairs if p == 4} == {(4, 1)})
+    _report("10 (pdrSpec(9))", ok, t0, 600,
+            f"{len(rep.pairs)} pairs; {rep.certified} of "
+            f"{rep.classes_visited} classes pinned by the bounds")

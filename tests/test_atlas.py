@@ -1,24 +1,31 @@
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeideals.atlas import (UNLABELED_GRAPH_COUNTS, CanonicalForm,
-                              _atlas_level, _canonical_search,
-                              _orbit_least_masks, canonical_bits,
-                              canonical_form, enumerate_graphs, pdr_spectrum,
-                              random_graph, recognize_family, verify_bound,
+                              PdrPoint, PdrSpectrumReport, _atlas_level,
+                              _canonical_search, _orbit_least_masks,
+                              canonical_bits, canonical_form,
+                              enumerate_graphs, pdr_spectrum, random_graph,
+                              recognize_family, verify_bound,
                               verify_classification, verify_spectrum)
+from edgeideals.betti import pd_and_reg
 from edgeideals.covers import tau_max
 from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
-from edgeideals.graphs import Graph, is_chordal, is_gap_free, relabel
+from edgeideals.gio import from_graph6
+from edgeideals.graphs import (Graph, is_chordal, is_gap_free,
+                               isolated_vertices, relabel)
 from edgeideals.homology import GF2, GF3, QQ
 from edgeideals.spectrum import cover_lower_bound
 from oracles import atlas_levels_unpruned
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def brute_isomorphic(g, h):
@@ -259,7 +266,50 @@ def test_pdr_spectrum_small():
     rep6 = pdr_spectrum(6)
     assert rep6.row(1) == {3, 4, 5}
     with pytest.raises(ResourceLimitError):
-        pdr_spectrum(9)
+        pdr_spectrum(10)
+
+
+def _pdr_csv(n):
+    """The rows of data/pdr_spectrum_n<n>.csv, the output of
+    `edgeideals verify pdr-spec --n <n>`."""
+    lines = (DATA / f"pdr_spectrum_n{n}.csv").read_text().splitlines()
+    assert lines[0] == "n,p,r,witness_graph6"
+    return lines[1:]
+
+
+# isolate-free classes whose pair pd_reg_bounds pins, out of 7, 23, 122,
+# 888 and 11,302
+CERTIFIED = {4: 6, 5: 20, 6: 105, 7: 785, 8: 10274}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(
+    8, marks=pytest.mark.acceptance)])
+def test_pdr_spectrum_matches_committed_csv(n):
+    # the pairs and witnesses the full Hochster sum gave on every class
+    for field in (GF2, QQ):
+        rep = pdr_spectrum(n, field)
+        assert rep.csv_lines() == _pdr_csv(n)
+        assert rep.certified == CERTIFIED[n]
+
+
+def test_pdr_spectrum_n9_csv():
+    points = []
+    for line in _pdr_csv(9):
+        n, p, r, g6 = line.split(",")
+        g = from_graph6(g6)
+        assert (int(n), g.n, isolated_vertices(g)) == (9, 9, frozenset())
+        assert canonical_form(g).graph6() == g6
+        assert pd_and_reg(g, GF2) == (int(p), int(r))
+        points.append(PdrPoint(int(p), int(r), canonical_form(g)))
+    # classes_visited and certified are unused by the checks below; the
+    # run's counts are checked by test_criterion_10_pdr_spectrum_n9
+    rep = PdrSpectrumReport(n=9, characteristic=2, points=tuple(points),
+                            classes_visited=0, certified=0)
+    assert rep.csv_lines() == _pdr_csv(9)
+    assert rep.row(1) == rep.expected_r1_row() == {4, 5, 6, 7, 8}
+    assert rep.conjecture_violations() == []
+    # the paper's first theorem at n = 9: pd = 2 sqrt(n) - 2 forces reg 1
+    assert {(p, r) for p, r in rep.pairs if p == 4} == {(4, 1)}
 
 
 def test_pdr_spectrum_same_over_every_field():

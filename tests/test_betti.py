@@ -9,8 +9,8 @@ from edgeideals.atlas import enumerate_graphs, random_graph
 from edgeideals.betti import (_subset_sum, _tensor, betti_json_dict,
                               betti_table, dual_check, dual_regularity,
                               field_disagreements, hochster_summand,
-                              pd_and_reg, proj_dim, regularity,
-                              render_betti_ascii)
+                              pd_and_reg, pd_reg_bounds, proj_dim,
+                              regularity, render_betti_ascii)
 from edgeideals.covers import induced_matching_number, matching_number, tau_max
 from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_bipartite, complete_graph,
@@ -380,6 +380,52 @@ def test_flag_rp2_graph_betti_table_depends_on_characteristic():
     records = field_disagreements(g)
     assert [(r["characteristic"], r["against"]) for r in records] == [
         (3, 2), (0, 2)]
+
+
+def test_pd_reg_bounds_hold_on_every_graph_to_n7():
+    # so a pinned pair is the pair over each of the three fields
+    pinned = 0
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            pd_lo, pd_hi, reg_lo, reg_hi = pd_reg_bounds(g)
+            pinned += pd_lo == pd_hi and reg_lo == reg_hi
+            for field in (GF2, GF3, QQ):
+                pd, reg = pd_and_reg(g, field)
+                assert pd_lo <= pd <= pd_hi, (g.edges, field)
+                assert reg_lo <= reg <= reg_hi, (g.edges, field)
+    assert pinned == 1103  # of the 1,253 graphs
+
+
+@pytest.mark.acceptance
+def test_pd_reg_bounds_pinned_pairs_n8():
+    for g in enumerate_graphs(8, "no-isolated"):
+        pd_lo, pd_hi, reg_lo, reg_hi = pd_reg_bounds(g)
+        if pd_lo == pd_hi and reg_lo == reg_hi:
+            for field in (GF2, QQ):
+                assert pd_and_reg(g, field) == (pd_lo, reg_lo), g.edges
+
+
+def test_pd_reg_bounds_small_cases_and_cap(monkeypatch):
+    assert pd_reg_bounds(Graph(0)) == (0, 0, 0, 0)
+    assert pd_reg_bounds(Graph(3)) == (0, 0, 0, 0)
+    assert pd_reg_bounds(two_k2()) == (2, 2, 2, 2)
+    # C5: pd 3, reg 2, tau_max 3, one induced edge. The pivot 0 leaves the
+    # edge 23 and the path 1234, with pd 1 and 2 and reg 1, so
+    # pd <= max(1 + 2, 2 + 1) = 3 and reg <= max(1, 1 + 1) = 2
+    assert pd_reg_bounds(cycle_graph(5)) == (3, 3, 1, 2)
+    assert pd_and_reg(cycle_graph(5)) == (3, 2)
+    with pytest.raises(ResourceLimitError):
+        pd_reg_bounds(path_graph(17))
+    monkeypatch.setenv("EDGEIDEALS_MAX_BETTI_N", "18")
+    assert pd_reg_bounds(path_graph(17))[:2] == (
+        tau_max(path_graph(17)), tau_max(path_graph(17)))
+
+
+def test_pd_reg_bounds_leave_flag_rp2_graph_unpinned():
+    # the box holds GF(2)'s (9, 3) and Q's (8, 2): reg <= max(reg(G - x),
+    # reg(G - N[x]) + 1) is a bound, and no recursion on it can be exact
+    g = from_graph6("JhW[X`LtKF?")
+    assert pd_reg_bounds(g) == (8, 9, 2, 3)
 
 
 def test_render_and_json():

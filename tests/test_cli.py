@@ -103,6 +103,15 @@ def test_verify_pdr_spec_csv(capsys):
     assert all(from_graph6(r[3]).n == 4 for r in rows)
 
 
+def test_verify_pdr_spec_json_counts_certified_classes(capsys):
+    code, out, _ = run(capsys, "verify", "pdr-spec", "--n", "5",
+                       "--format", "json")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["classes_visited"], rec["certified"]) == (23, 20)
+    assert rec["r1_row_ok"] and rec["conjecture_violations"] == []
+
+
 def test_verify_spectrum(capsys):
     code, out, _ = run(capsys, "verify", "spectrum", "--n", "6")
     assert code == 0
