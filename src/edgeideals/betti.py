@@ -5,8 +5,8 @@ internal degree j is the sum, over all j-subsets W of the vertices, of
 dim H~_{j-i-1} of the independence complex of G[W] over the chosen field.
 betti_table is the one place that sum is evaluated; pd and reg, the pair
 the cover bounds are about, are read off its table. Every W, component
-and folded piece is a vertex mask of G itself, so the sum walks the
-submasks of each component mask the leaf split leaves and hands each set to
+and folded piece is a vertex mask of G itself, so the sum walks submasks
+of each component mask the leaf split leaves and hands each set to
 independence_complex(g, w) without relabeling; one memo, keyed on those
 masks, serves a whole betti_table call. Exact shortcuts that do not change
 any entry, over any field:
@@ -29,6 +29,13 @@ any entry, over any field:
   (1 + k, 2 + k). Both masks are split into components and split
   again; a component with no leaf goes to the subset sum, so a component
   of m vertices visits at most 2^(m-1) + 2^(m-1-d) subsets, not 2^m;
+* the subsets of a leafless component M are grouped (Engstrom's fold
+  lemma, Discrete Math. 309, 2009): pairs u -> D(u) are picked once, each
+  v in D(u) with N(u) & M <= N(v) & M, no u in a D, the D disjoint. With
+  u in W, any S <= D(u) & W folds away one vertex at a time, since the
+  containment holds in every subset: W and W - S have the same homology,
+  |S| steps apart in i and j. So only the R with no D(u) & R for a u in R
+  are visited, each times (1 + s t)^e, e the size of the D(u) with u in R;
 * subsets whose induced subgraph has an isolated vertex contribute nothing
   (the complex is a cone over that vertex);
 * each remaining W is folded first: by Engstrom's fold lemma, if
@@ -80,7 +87,7 @@ from math import comb
 
 from . import covers
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
-from .graphs import Graph, _components
+from .graphs import Graph, _bits, _components
 from .homology import (GF2, FieldSpec, SimplicialComplex, homology_dims,
                        independence_complex)
 
@@ -215,22 +222,62 @@ def hochster_summand(g: Graph, vertices, field: FieldSpec = GF2) -> dict[int, in
     return _ind_homology(g, mask, field, {})
 
 
+def _dominations(masks: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
+    """Pairs (u, D(u)) for _subset_sum, u as a one-bit mask: N(u) & comp is
+    nonempty and inside N(v) for each v in D(u), no u lies in a D, and the
+    D are disjoint. One greedy pass in vertex order."""
+    pairs = []
+    used = 0
+    for v in _bits(comp):
+        u = 1 << v
+        nu = masks[v] & comp
+        dom = comp & ~used & ~u if nu and not used & u else 0
+        for x in _bits(nu):
+            dom &= masks[x]
+        if dom:
+            pairs.append((u, dom))
+            used |= u | dom
+    return pairs
+
+
 def _subset_sum(g: Graph, comp: int, field: FieldSpec,
                 memo: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
-    """Hochster's sum over the subsets W of the vertex mask comp: the Betti
-    table entries of G[comp]. W walks the submasks of comp downwards, in
-    g's own labels, ending with the empty set."""
-    entries: dict[tuple[int, int], int] = {}
-    w = comp
+    """Hochster's sum over the subsets W of the vertex mask comp, in g's own
+    labels, visiting only the admissible W of the grouping by the pairs of
+    _dominations: W = B | X, B a submask of comp minus D, the union of the
+    D(u), and X one of the union F of the D(u) with u not in B, weighted by
+    (1 + s t)^e with e = |D| - |F|."""
+    pairs = _dominations(g.masks, comp)
+    dominated = sum(dom for _, dom in pairs)
+    by_e: dict[int, dict[tuple[int, int], int]] = {}
+    base = b = comp & ~dominated
     while True:
-        if not _has_isolated(g, w):
-            j = w.bit_count()
-            for k, dim in _ind_homology(g, w, field, memo).items():
-                key = (j - 1 - k, j)
-                entries[key] = entries.get(key, 0) + dim
-        if not w:
-            return entries
-        w = (w - 1) & comp
+        free = 0
+        for u, dom in pairs:
+            if not b & u:
+                free |= dom
+        e = dominated.bit_count() - free.bit_count()
+        entries = by_e.setdefault(e, {})
+        x = free
+        while True:
+            w = b | x
+            if not _has_isolated(g, w):
+                j = w.bit_count()
+                for k, dim in _ind_homology(g, w, field, memo).items():
+                    key = (j - 1 - k, j)
+                    entries[key] = entries.get(key, 0) + dim
+            if not x:
+                break
+            x = (x - 1) & free
+        if not b:
+            break
+        b = (b - 1) & base
+    total = by_e.pop(0)  # B empty leaves every D(u) free
+    for e, entries in by_e.items():
+        step = {(k, k): comb(e, k) for k in range(e + 1)}
+        for key, y in _tensor(step, entries).items():
+            total[key] = total.get(key, 0) + y
+    return total
 
 
 def _tensor(a: dict[tuple[int, int], int],

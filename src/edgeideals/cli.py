@@ -34,7 +34,8 @@ def _read_graph(args) -> graphs.Graph:
             "provide a graph via --graph FILE|- or --family SPEC")
     if path == "-":
         return gio.parse_graph(sys.stdin.read())
-    with open(path) as fh:
+    # undecodable bytes reach the parser as on stdin, which reports them
+    with open(path, errors="surrogateescape") as fh:
         return gio.parse_graph(fh.read())
 
 
@@ -204,6 +205,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # -h prints the help and exits 0
+        return exc.code
     except ParameterRangeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeideals.atlas import enumerate_graphs, random_graph
-from edgeideals.betti import (_subset_sum, _tensor, betti_json_dict,
-                              betti_table, dual_check, dual_regularity,
-                              field_disagreements, hochster_summand,
-                              pd_and_reg, pd_reg_bounds, proj_dim,
-                              regularity, render_betti_ascii)
+from edgeideals.betti import (_dominations, _ind_homology, _tensor,
+                              betti_json_dict, betti_table, dual_check,
+                              dual_regularity, field_disagreements,
+                              hochster_summand, pd_and_reg, pd_reg_bounds,
+                              proj_dim, regularity, render_betti_ascii)
 from edgeideals.covers import induced_matching_number, matching_number, tau_max
 from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_bipartite, complete_graph,
@@ -90,11 +90,14 @@ def test_engine_equals_naive_oracle_every_graph_to_n6():
 
 
 def _plain_sum(g, field):
-    """The table as the product, over the components, of the subset sum
-    over every subset of the whole component: no leaf split."""
-    entries = {(0, 0): 1}
-    for comp in _components(g.masks, (1 << g.n) - 1):
-        entries = _tensor(entries, _subset_sum(g, comp, field, {}))
+    """Hochster's sum over every subset W of the vertices, one
+    _ind_homology call each: no components, no leaf split, no grouping."""
+    entries = {}
+    memo = {}
+    for w in range(1 << g.n):
+        j = w.bit_count()
+        for k, dim in _ind_homology(g, w, field, memo).items():
+            entries[j - 1 - k, j] = entries.get((j - 1 - k, j), 0) + dim
     return entries
 
 
@@ -158,6 +161,86 @@ def test_leaf_split_identity_on_naive_oracle(g, c):
         for key, x in _tensor(step, far).items():
             split[key] = split.get(key, 0) + x
         assert split == table, (g.edges, leaf)
+
+
+def _assert_valid_pairs(masks, comp):
+    pairs = _dominations(masks, comp)
+    us = doms = 0
+    for u, dom in pairs:
+        assert u & comp and not u & (u - 1) and dom and not dom & ~comp
+        nu = masks[u.bit_length() - 1] & comp
+        assert nu
+        for v in range(len(masks)):
+            if dom >> v & 1:
+                assert not nu & ~masks[v], "v is not dominated by u"
+                assert not masks[v] & u, "u is adjacent to v"
+        assert not doms & dom, "two D(u) meet"
+        us |= u
+        doms |= dom
+    assert not us & doms, "a vertex is both a u and in some D(u)"
+    return pairs
+
+
+def test_dominations_are_valid_pairs_every_graph_to_n7():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            full = (1 << n) - 1
+            for comp in _components(g.masks, full) + [full]:
+                _assert_valid_pairs(g.masks, comp)
+    # the open twins of C4 and K_{3,3}: 0 -> {2} and 1 -> {3}; 0 -> {1, 2}
+    # and 3 -> {4, 5}
+    assert _assert_valid_pairs(cycle_graph(4).masks, 0b1111) == [
+        (0b1, 0b100), (0b10, 0b1000)]
+    assert _assert_valid_pairs(complete_bipartite(3, 3).masks, 0b111111) == [
+        (0b1, 0b110), (0b1000, 0b110000)]
+
+
+@st.composite
+def graph_with_dominations(draw):
+    """A random graph on up to 5 vertices plus up to 3 more, each joined
+    to N(u) of an earlier vertex u (an open twin of u) or to a superset of
+    N(u) that misses u, so that u dominates it when it is added."""
+    n = draw(st.integers(1, 5))
+    nbrs = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    for v in range(n, n + draw(st.integers(1, 3))):
+        u = draw(st.integers(0, v - 1))
+        extra = {x for x in range(v) if x != u and draw(st.booleans())}
+        nbrs.append(nbrs[u] | (extra if draw(st.booleans()) else set()))
+        for x in nbrs[v]:
+            nbrs[x].add(v)
+    return Graph(len(nbrs), [(u, v) for v in range(len(nbrs))
+                             for u in nbrs[v] if u < v])
+
+
+@given(graph_with_dominations())
+@settings(max_examples=40, deadline=None)
+def test_grouping_equals_naive_oracle_on_planted_dominations(g):
+    full = (1 << g.n) - 1
+    for comp in _components(g.masks, full) + [full]:
+        _assert_valid_pairs(g.masks, comp)
+    for c in (2, 3, 0):
+        assert (betti_table(g, FieldSpec(c)).entries
+                == betti_table_naive(g, c)), (g.edges, c)
+
+
+def test_complete_bipartite_closed_form():
+    # Ind(K_{m,k}[W]) is two disjoint simplices, an S^0, when W meets both
+    # sides, and a cone otherwise: beta_{i,i+1} counts the (i + 1)-sets W
+    # that meet both sides, and nothing else lies past (0, 0)
+    for m in range(1, 8):
+        for k in range(1, 8):
+            want = {(0, 0): 1}
+            for i in range(1, m + k):
+                want[i, i + 1] = sum(comb(m, a) * comb(k, i + 1 - a)
+                                     for a in range(1, i + 1))
+            for field in (GF2, GF3, QQ):
+                t = betti_table(complete_bipartite(m, k), field)
+                assert t.entries == want, (m, k, field)
 
 
 def test_star_betti_numbers_are_binomial():

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeideals.cli import main
 from edgeideals.families import cycle_graph
@@ -220,3 +225,51 @@ def test_out_of_range_verify_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "Traceback" not in err
     assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+
+def test_non_utf8_graph_file_is_parse_error(capsys, tmp_path):
+    # the bytes reach the graph6 parser, as the same bytes on stdin do
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"\xff\xfe\x80")
+    code, out, err = run(capsys, "betti", "--graph", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("parse error:") and len(err.splitlines()) == 1
+
+
+def test_help_returns_zero(capsys):
+    code, out, _ = run(capsys, "-h")
+    assert code == 0 and out.startswith("usage: edgeideals")
+    code, out, _ = run(capsys, "betti", "--help")
+    assert code == 0 and "--char" in out
+
+
+# Tokens for argv: every subcommand and flag, family specs, small ints and
+# junk. With ints kept to -2..6 no call leaves the caps' fast paths.
+_ARGV_TOKENS = (
+    "invariants", "betti", "construct", "enumerate", "verify", "bound",
+    "classification", "spectrum", "pdr-spec", "--graph", "--family",
+    "--format", "--char", "--max-n", "--n", "--filter", "--exhaustive",
+    "--samples", "--seed", "-h", "-", "json", "ascii", "csv", "graph6",
+    "edge-list", "all", "no-isolated", "connected", "c4", "hs:3", "kb:3,3",
+    "k5", "2k2", "gn:5", "p", "c", "k", "kb", "spectrum:6,4", "pdr:6,4,2",
+    "bogus:3", "", "--", "-x", "--nope", "=", "é", "3,", "1e3",
+)
+# Free text has no decimal digits, so an edge-list header cannot ask for a
+# graph of thousands of vertices.
+_STDIN_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=12),
+    st.lists(st.sampled_from(("C~", "Cr", "D?{", "2 1", "0 1", "1 2", "5 0",
+                              "-1", "\udcff", "~", " ", "\n")),
+             max_size=6).map("".join))
+
+
+@given(st.lists(st.one_of(st.sampled_from(_ARGV_TOKENS),
+                          st.integers(-2, 6).map(str)), max_size=8),
+       _STDIN_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzz_exits_with_a_contract_code(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5), (argv, text, code)
