@@ -2,11 +2,17 @@
 
 Exit codes: 0 success, 1 usage error, 2 graph parse error, 3 resource cap
 exceeded, 4 verification found a counterexample.
+
+`main(argv)` is safe to call any number of times in one process: it
+builds the argument parser on its first call and reuses it after that.
+A parse never changes the parser, so each call prints and returns what
+it would in a fresh process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,6 +24,9 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_COUNTEREXAMPLE = 4
+
+# `-h` shows the module docstring without the note for in-process callers
+_DESCRIPTION = __doc__ and __doc__.partition("\n\n`main(argv)`")[0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +155,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="edgeideals", description=__doc__)
+    parser = _Parser(prog="edgeideals", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_source(p):
@@ -200,10 +209,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser `main` uses, built on first use: building one costs
+    about a millisecond, as much as a small `invariants` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # -h prints the help and exits 0
         return exc.code

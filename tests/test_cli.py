@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeideals.cli import main
-from edgeideals.families import cycle_graph
+from edgeideals.cli import build_parser, main
+from edgeideals.families import cycle_graph, path_graph
 from edgeideals.gio import from_graph6, to_edge_list, to_graph6
 
 
@@ -16,6 +16,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_with_stdin(argv, text=""):
+    """main(argv) with `text` on stdin: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_invariants_c4(capsys):
@@ -268,8 +277,27 @@ _STDIN_TEXT = st.one_of(
        _STDIN_TEXT)
 @settings(max_examples=300, deadline=None)
 def test_cli_fuzz_exits_with_a_contract_code(argv, text):
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(text)), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in range(5), (argv, text, code)
+    first = run_with_stdin(argv, text)
+    assert first[0] in range(5), (argv, text, first)
+    # main reuses its parser, so a second call, on fresh stdin, repeats
+    # the first byte for byte
+    assert run_with_stdin(argv, text) == first, (argv, text)
+
+
+def test_successive_main_calls_share_no_state():
+    argv = ["invariants", "--graph", "-"]
+    c4 = run_with_stdin(argv, to_graph6(cycle_graph(4)) + "\n")
+    p5 = run_with_stdin(argv, to_graph6(path_graph(4)) + "\n")
+    assert c4[0] == p5[0] == 0 and c4[2] == p5[2] == ""
+    rec_c4, rec_p5 = json.loads(c4[1]), json.loads(p5[1])
+    assert (rec_c4["n"], rec_c4["chordal"]) == (4, False)
+    assert (rec_p5["n"], rec_p5["chordal"]) == (5, True)
+    # a usage error and a non-default option between calls change nothing
+    code, out, err = run_with_stdin(["invariants", "--format", "xml"])
+    assert code == 1 and out == "" and err.startswith("usage error:")
+    code, out, _ = run_with_stdin(argv + ["--format", "ascii"], "C~\n")
+    assert code == 0 and "tau_max: 3" in out
+    assert run_with_stdin(argv, to_graph6(path_graph(4)) + "\n") == p5
+    assert run_with_stdin(argv, to_graph6(cycle_graph(4)) + "\n") == c4
+    # the public builder still hands out a fresh parser on every call
+    assert build_parser() is not build_parser()

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +126,16 @@ def test_chordal_known_cases():
     assert is_chordal(path_graph(4))
     for s in range(1, 9):
         assert is_chordal(pendant_clique(s))
+
+
+def test_chordal_scales_to_thousands_of_vertices():
+    # 9,999 isolated vertices is the 7-byte edge list `9999 0`, so a
+    # search quadratic in n would let a tiny input stall `invariants`
+    for g, chordal in ((Graph(9999), True), (path_graph(3000), True),
+                       (cycle_graph(3000), False)):
+        start = time.perf_counter()
+        assert is_chordal(g) is chordal, g.n
+        assert time.perf_counter() - start < 2.0, g.n
 
 
 def test_chordal_agrees_with_bruteforce(small_corpus):
