@@ -20,6 +20,10 @@ there changes the forms, and with them the witnesses pdr_spectrum reports.
 
 The isomorph-free atlas grows each level from the one below by adding a
 vertex, trying one attachment set per automorphism orbit of the parent.
+A child that has a one-vertex deletion whose invariants only parents
+earlier in the level have is dropped with no canonical form: its class was
+met under that earlier parent (the deletion test, proved in _atlas_level).
+Only the children it keeps are deduplicated by canonical form.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from typing import Iterable, Iterator
 
 from . import betti, covers, gio, spectrum
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
-from .graphs import Graph, is_chordal, is_gap_free, isolated_vertices, is_connected
+from .graphs import (Graph, _bits, is_chordal, is_gap_free, isolated_vertices,
+                     is_connected)
 from .homology import GF2, FieldSpec
 
 CANONICAL_MAX_N = 12
@@ -271,6 +276,56 @@ def _orbit_least_masks(auts: list[tuple[int, ...]], n: int) -> list[int]:
     return least
 
 
+def _triangles(masks: tuple[int, ...]) -> list[int]:
+    """The number of triangles through each vertex."""
+    return [sum((masks[u] & m).bit_count() for u in _bits(m)) >> 1
+            for m in masks]
+
+
+def _deletion_key(masks: tuple[int, ...], b: int) -> int:
+    """An isomorphism invariant of a graph on fewer than 2^b vertices: its
+    degree histogram, the sum of 1 << (b * deg v), plus its triangle count
+    shifted past it, << (b << b)."""
+    hist = sum(1 << b * m.bit_count() for m in masks)
+    return hist + (sum(_triangles(masks)) // 3 << (b << b))
+
+
+def _earlier_deletion(base: tuple[int, ...], attach: int, deg: list[int],
+                      tri: list[int], b: int, last: dict[int, int],
+                      i: int) -> bool:
+    """Whether the child C of parent i (masks `base`, degrees `deg`,
+    triangles per vertex `tri`) whose new vertex is joined to `attach` has
+    an old vertex w with last[_deletion_key(C - w)] < i.
+
+    Each key follows from C's in O(deg w): w's count leaves the histogram,
+    each neighbour of w moves down one degree, and the triangles through w
+    go. An attached w also has the new vertex as a neighbour, and one more
+    triangle per attached neighbour."""
+    s = b << b
+    pw = [1 << b * (d + (attach >> u & 1)) for u, d in enumerate(deg)]
+    pw_new = 1 << b * attach.bit_count()
+    # what a neighbour's move down one degree takes from the histogram
+    drop = [p - (p >> b) for p in pw]
+    drop_new = pw_new - (pw_new >> b)
+    # the new vertex closes one triangle per edge among the attached
+    inner = sum((base[u] & attach).bit_count() for u in _bits(attach)) // 2
+    key = sum(pw) + pw_new + (sum(tri) // 3 + inner << s)
+    # latest vertex first: its deletion is the likeliest to be an early
+    # parent (at n = 8, 1.2 vertices tried per dropped child against 2.9)
+    for w in range(len(base) - 1, -1, -1):
+        m = base[w]
+        h = key - pw[w] - (tri[w] << s)
+        if attach >> w & 1:
+            h -= drop_new + ((m & attach).bit_count() << s)
+        while m:
+            low = m & -m
+            h -= drop[low.bit_length() - 1]
+            m ^= low
+        if last[h] < i:
+            return True
+    return False
+
+
 def _atlas_level(n: int) -> list[Graph]:
     """One representative per isomorphism class on exactly n vertices,
     grown by vertex augmentation from the (n-1)-level with canonical-form
@@ -283,8 +338,28 @@ def _atlas_level(n: int) -> list[Graph]:
     class, and so every representative and its position, is the same as
     when all 2^(n-1) sets are tried.
 
-    A child is built from its parent's masks, so no level caches an edge
-    tuple on the graphs it keeps.
+    Deletion test. `last` maps each _deletion_key to the position of the
+    last parent with that key. The child C of parent i is dropped, with no
+    canonical form, when some old vertex w has last[key(C - w)] < i. It is
+    dropped only if `seen` would drop it:
+    - C - w has n - 1 vertices, so it is isomorphic to some parent P_j. The
+      key is an isomorphism invariant, so P_j has the key of C - w, and
+      every parent with that key comes before i: j < i.
+    - C is P_j plus a vertex joined to some set S (w is that vertex). The
+      least set of S's orbit under the perms found for P_j was tried under
+      P_j, and its child C' is isomorphic to C.
+    - C' was met before C. By induction on the order children are met, its
+      class was in `seen` after that: C' was kept, or `seen` dropped it, or
+      the deletion test did, which it does only to a class in `seen`.
+    So every level, its order and every representative are the same as
+    without the test. The key only has to be an isomorphism invariant: a
+    coarser key drops fewer children, never a wrong one. The new vertex is
+    never tried as w: deleting it gives parent i, and last[key] >= i there.
+    At n = 7, 8 and 9 the test leaves 1,212, 20,856 and 816,686 canonical
+    forms to compute, of 5,096, 79,264 and 2,208,612 orbit-least children.
+
+    A child is built from its parent's masks, and only when the deletion
+    test keeps it; no level caches an edge tuple on the graphs it keeps.
     """
     cached = _ATLAS_CACHE.get(n)
     if cached is not None:
@@ -294,8 +369,12 @@ def _atlas_level(n: int) -> list[Graph]:
     level: list[Graph] = []
     new = n - 1
     bit = 1 << new
-    for parent in parents:
+    b = n.bit_length()
+    last = {_deletion_key(p.masks, b): i for i, p in enumerate(parents)}
+    for i, parent in enumerate(parents):
         base = parent.masks
+        deg = [m.bit_count() for m in base]
+        tri = _triangles(base)
         # A set A and its image under an automorphism a of the parent give
         # isomorphic children (extend a by fixing the new vertex), and the
         # least set of the orbit comes first in this loop, so each skipped
@@ -305,6 +384,8 @@ def _atlas_level(n: int) -> list[Graph]:
         # first child.
         auts = _canonical_search(base, new)[1]
         for attach in _orbit_least_masks(auts, new):
+            if _earlier_deletion(base, attach, deg, tri, b, last, i):
+                continue
             masks = tuple(m | bit if attach >> u & 1 else m
                           for u, m in enumerate(base)) + (attach,)
             bits = canonical_bits(masks, n)

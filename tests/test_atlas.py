@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeideals import atlas
 from edgeideals.atlas import (UNLABELED_GRAPH_COUNTS, CanonicalForm,
                               PdrPoint, PdrSpectrumReport, _atlas_level,
                               _canonical_search, _orbit_least_masks,
@@ -18,7 +20,7 @@ from edgeideals.covers import tau_max
 from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
-from edgeideals.gio import from_graph6
+from edgeideals.gio import from_graph6, to_graph6
 from edgeideals.graphs import (Graph, is_chordal, is_gap_free,
                                isolated_vertices, relabel)
 from edgeideals.homology import GF2, GF3, QQ
@@ -121,6 +123,45 @@ def test_atlas_levels_equal_unpruned_oracle():
         got = _atlas_level(n)
         assert len(got) == UNLABELED_GRAPH_COUNTS[n]
         assert [g.edges for g in got] == [g.edges for g in expect]
+
+
+def test_atlas_deletion_test_saves_canonical_forms(monkeypatch):
+    # level 7 from a cold cache: a child whose one-vertex deletion can only
+    # be an earlier parent gets no canonical form (5,096 calls without the
+    # deletion test, one per orbit-least attachment set)
+    calls = []
+
+    def counted(masks, n):
+        calls.append(n)
+        return canonical_bits(masks, n)
+
+    monkeypatch.setattr(atlas, "_ATLAS_CACHE", {0: [Graph(0)]})
+    monkeypatch.setattr(atlas, "canonical_bits", counted)
+    _atlas_level(6)
+    calls.clear()
+    level = _atlas_level(7)
+    assert len(level) == UNLABELED_GRAPH_COUNTS[7]
+    assert len(calls) <= 1700
+
+
+# sha256 of the graph6 lines of level 8, in order, as built with no
+# deletion test; the unpruned oracle stops at n = 7
+LEVEL_8_SHA256 = \
+    "69fda48ed5c789b5945500540fd14b642a77c93379eff11f05401a5ed26b601c"
+
+
+def test_atlas_level_8_order_pinned():
+    text = "".join(to_graph6(g) + "\n" for g in _atlas_level(8))
+    assert hashlib.sha256(text.encode()).hexdigest() == LEVEL_8_SHA256
+
+
+def test_search_automorphism_cap_never_binds_to_n8():
+    # _canonical_search stops storing perms at 128; on every graph with
+    # n <= 8 it stores at most 10, so the orbit pruning in _atlas_level
+    # never runs on a capped set
+    most = max(len(_canonical_search(g.masks, n)[1])
+               for n in range(9) for g in _atlas_level(n))
+    assert most < 128
 
 
 def _is_automorphism(g, perm):
