@@ -154,8 +154,11 @@ def _canonical_search(masks: tuple[int, ...], n: int
     automorphisms that feed the orbit pruning.
 
     The automorphisms are returned as perms (vertex v maps to perm[v]):
-    the twin transpositions plus at most 128 found at leaves. They generate
-    a subgroup of Aut(G), usually all of it.
+    the twin transpositions plus every one found at a leaf. They generate
+    a subgroup of Aut(G), usually all of it. No cap on them is needed:
+    the orbit pruning keeps few leaves equal to the best, so few are found
+    (at most 10 on every graph with n <= 8), and pruning by automorphisms
+    never skips the least leaf, so the bits do not depend on how many.
     """
     if n <= 1:
         return 0, []
@@ -205,7 +208,7 @@ def _canonical_search(masks: tuple[int, ...], n: int
             s = emit(order)
             if best is None or s < best:
                 best, best_order = s, order
-            elif s == best and len(auts) < 128:
+            elif s == best:
                 perm = [0] * n
                 for i in range(n):
                     perm[best_order[i]] = order[i]
@@ -378,10 +381,9 @@ def _atlas_level(n: int) -> list[Graph]:
         # A set A and its image under an automorphism a of the parent give
         # isomorphic children (extend a by fixing the new vertex), and the
         # least set of the orbit comes first in this loop, so each skipped
-        # set would have hit `seen`. If the search's cap of 128 stored
-        # automorphisms binds, the perms generate a subgroup with finer
-        # orbits: more sets are tried, and `seen` still keeps the same
-        # first child.
+        # set would have hit `seen`. Where the stored perms generate only
+        # a subgroup, its orbits are finer: more sets are tried, and `seen`
+        # still keeps the same first child.
         auts = _canonical_search(base, new)[1]
         for attach in _orbit_least_masks(auts, new):
             if _earlier_deletion(base, attach, deg, tri, b, last, i):
@@ -396,8 +398,7 @@ def _atlas_level(n: int) -> list[Graph]:
     return level
 
 
-def enumerate_graphs(n: int, filter: str = "all",
-                     max_n: int | None = None) -> Iterator[Graph]:
+def enumerate_graphs(n: int, filter: str = "all") -> Iterator[Graph]:
     """Exactly one representative per isomorphism class on n vertices.
 
     filter: 'all', 'no-isolated' (no isolated vertices), or 'connected'.
@@ -406,10 +407,11 @@ def enumerate_graphs(n: int, filter: str = "all",
     """
     if n < 0:
         raise ParameterRangeError(f"vertex count must be >= 0, got {n}")
-    limit = resolve_cap(max_n, "EDGEIDEALS_MAX_ENUM_N", ENUMERATE_MAX_N)
+    limit = resolve_cap("EDGEIDEALS_MAX_ENUM_N", ENUMERATE_MAX_N)
     if n > limit:
         raise ResourceLimitError(
-            f"enumerate_graphs supports n <= {limit}, got {n}")
+            f"enumerate_graphs supports n <= {limit}, got {n}; set "
+            f"EDGEIDEALS_MAX_ENUM_N to override")
     if filter not in ("all", "no-isolated", "connected"):
         raise ParameterRangeError(f"unknown filter {filter!r}")
     for g in _atlas_level(n):
@@ -604,26 +606,23 @@ class SpectrumCheck:
         return json.dumps({**asdict(self), "ok": self.ok})
 
 
-# every spectrum graph the Betti cap admits gets its (pd, reg) checked
-SPECTRUM_HOMOLOGY_MAX_N = betti.DEFAULT_MAX_N
-
-
-def verify_spectrum(n_max: int, field: FieldSpec = GF2,
-                    homology_up_to: int = SPECTRUM_HOMOLOGY_MAX_N
+def verify_spectrum(n_max: int, field: FieldSpec = GF2
                     ) -> list[SpectrumCheck]:
     """Build every legal (n, p) spectrum graph for n = 2..n_max and check
-    tau_max = p, chordality and gap-freeness; for n <= homology_up_to also
-    check (pd, reg) = (p, 1) through the subset-homology engine."""
+    tau_max = p, chordality and gap-freeness; for n up to the Betti cap in
+    force (EDGEIDEALS_MAX_BETTI_N) also check (pd, reg) = (p, 1) through
+    the subset-homology engine."""
     if n_max < 2:
         raise ParameterRangeError(
             f"verify_spectrum needs n_max >= 2, got {n_max}")
+    homology_n = betti._betti_cap()
     out = []
     for n in range(2, n_max + 1):
         for p in range(spectrum.cover_lower_bound(n), n):
             g = spectrum.build_spectrum_graph(n, p)
             assert g.n == n
             pd = reg = None
-            if n <= homology_up_to:
+            if n <= homology_n:
                 pd, reg = betti.pd_and_reg(g, field)
             out.append(SpectrumCheck(
                 n=n, p=p, tau_max=covers.tau_max(g),
@@ -676,20 +675,15 @@ class PdrSpectrumReport:
                 for p, r in sorted(self.pairs)]
 
 
-PDR_SPECTRUM_MAX_N = 9
-
-
 def pdr_spectrum(n: int, field: FieldSpec = GF2) -> PdrSpectrumReport:
     """Compute (pd, reg) for every isolate-free isomorphism class on n
     vertices; the witness kept per pair is the first class encountered in
     enumeration order. A class whose bounds from betti.pd_reg_bounds meet
     gets its pair from them, the same over every field; only the others
-    go through the Hochster sum."""
+    go through the Hochster sum. n is held to the cap of enumerate_graphs
+    (EDGEIDEALS_MAX_ENUM_N)."""
     if n < 2:
         raise ParameterRangeError(f"pdr_spectrum needs n >= 2, got {n}")
-    if n > PDR_SPECTRUM_MAX_N:
-        raise ResourceLimitError(
-            f"pdr_spectrum supports n <= {PDR_SPECTRUM_MAX_N}, got {n}")
     found: dict[tuple[int, int], CanonicalForm] = {}
     visited = certified = 0
     for g in enumerate_graphs(n, "no-isolated"):

@@ -36,13 +36,12 @@ any entry, over any field:
   containment holds in every subset: W and W - S have the same homology,
   |S| steps apart in i and j. So only the R with no D(u) & R for a u in R
   are visited, each times (1 + s t)^e, e the size of the D(u) with u in R;
-* subsets whose induced subgraph has an isolated vertex contribute nothing
-  (the complex is a cone over that vertex);
-* each remaining W is folded first: by Engstrom's fold lemma, if
-  N(u) <= N(v) for u != v then Ind(G) and Ind(G - v) are homotopy
-  equivalent, so dominated vertices are dropped from W until none is left
-  (or an isolated vertex shows a cone). Homology is then computed once per
-  folded subset, memoized for the duration of one call;
+* each W is folded first: by Engstrom's fold lemma, if N(u) <= N(v) for
+  u != v then Ind(G) and Ind(G - v) are homotopy equivalent, so dominated
+  vertices are dropped from W until none is left. A vertex of W with no
+  neighbour in W stops the fold: the complex is a cone over that vertex,
+  so W contributes nothing and no complex is built. Homology is then
+  computed once per folded subset, memoized for the duration of one call;
 * a folded W whose graph is disconnected is not built as one complex:
   Ind(A + B) is the join Ind(A) * Ind(B), and over a field
   H~_{k+1}(X * Y) is the sum over i + j = k of H~_i(X) (x) H~_j(Y). Each
@@ -94,13 +93,18 @@ from .homology import (GF2, FieldSpec, SimplicialComplex, homology_dims,
 DEFAULT_MAX_N = 16
 
 
-def _check_cap(g: Graph, max_n: int | None, what: str) -> None:
-    """Raise ResourceLimitError when g has more vertices than the subset-sum
-    cap: max_n, else EDGEIDEALS_MAX_BETTI_N, else DEFAULT_MAX_N."""
-    limit = resolve_cap(max_n, "EDGEIDEALS_MAX_BETTI_N", DEFAULT_MAX_N)
-    if g.n > limit:
+def _betti_cap() -> int:
+    """The most vertices a subset sum takes: EDGEIDEALS_MAX_BETTI_N, else
+    DEFAULT_MAX_N."""
+    return resolve_cap("EDGEIDEALS_MAX_BETTI_N", DEFAULT_MAX_N)
+
+
+def _check_cap(n: int, what: str) -> None:
+    """Raise ResourceLimitError when n vertices are over _betti_cap()."""
+    limit = _betti_cap()
+    if n > limit:
         raise ResourceLimitError(
-            f"{what} refuses n={g.n} > limit {limit}; raise max_n or set "
+            f"{what} refuses n={n} > limit {limit}; set "
             f"EDGEIDEALS_MAX_BETTI_N to override")
 
 
@@ -133,17 +137,6 @@ class DualReport:
     @property
     def dominates_tau(self) -> bool:
         return self.reg_dual >= self.tau_max
-
-
-def _has_isolated(g: Graph, w_mask: int) -> bool:
-    masks = g.masks
-    m = w_mask
-    while m:
-        low = m & -m
-        if not masks[low.bit_length() - 1] & w_mask:
-            return True
-        m ^= low
-    return False
 
 
 def _fold(masks: tuple[int, ...], w_mask: int) -> int | None:
@@ -212,10 +205,12 @@ def _ind_homology(g: Graph, w_mask: int, field: FieldSpec,
 
 def hochster_summand(g: Graph, vertices, field: FieldSpec = GF2) -> dict[int, int]:
     """The inner Hochster term for one subset: nonzero reduced homology
-    dimensions of the independence complex of G[W]."""
+    dimensions of the independence complex of G[W]. |W| is held to the
+    cap of betti_table."""
     w = set(vertices)
     if w and (min(w) < 0 or max(w) >= g.n):
         raise ParameterRangeError(f"subset out of range for n={g.n}")
+    _check_cap(len(w), "hochster_summand")
     mask = 0
     for v in w:
         mask |= 1 << v
@@ -261,11 +256,10 @@ def _subset_sum(g: Graph, comp: int, field: FieldSpec,
         x = free
         while True:
             w = b | x
-            if not _has_isolated(g, w):
-                j = w.bit_count()
-                for k, dim in _ind_homology(g, w, field, memo).items():
-                    key = (j - 1 - k, j)
-                    entries[key] = entries.get(key, 0) + dim
+            j = w.bit_count()
+            for k, dim in _ind_homology(g, w, field, memo).items():
+                key = (j - 1 - k, j)
+                entries[key] = entries.get(key, 0) + dim
             if not x:
                 break
             x = (x - 1) & free
@@ -339,9 +333,8 @@ def _component_table(g: Graph, comp: int, field: FieldSpec,
     return entries
 
 
-def betti_table(g: Graph, field: FieldSpec = GF2,
-                max_n: int | None = None) -> BettiTable:
-    _check_cap(g, max_n, "betti_table")
+def betti_table(g: Graph, field: FieldSpec = GF2) -> BettiTable:
+    _check_cap(g.n, "betti_table")
     entries = _table(g, (1 << g.n) - 1, field, {})
     pd = max(i for i, _ in entries)
     reg = max(j - i for i, j in entries)
@@ -349,12 +342,11 @@ def betti_table(g: Graph, field: FieldSpec = GF2,
                       entries=entries, pd=pd, reg=reg)
 
 
-def pd_and_reg(g: Graph, field: FieldSpec = GF2,
-               max_n: int | None = None) -> tuple[int, int]:
+def pd_and_reg(g: Graph, field: FieldSpec = GF2) -> tuple[int, int]:
     """(projective dimension, regularity) of S/I(G), read off betti_table:
     there is one subset sum, and pd and reg are the largest i and j - i
     among its nonzero entries."""
-    t = betti_table(g, field, max_n)
+    t = betti_table(g, field)
     return t.pd, t.reg
 
 
@@ -369,7 +361,7 @@ def pd_reg_bounds(g: Graph) -> tuple[int, int, int, int]:
     pd <= max(pd(G - N[x]) + deg x, pd(G - x) + 1) and
     reg <= max(reg(G - x), reg(G - N[x]) + 1). The cap is betti_table's,
     set by EDGEIDEALS_MAX_BETTI_N."""
-    _check_cap(g, None, "pd_reg_bounds")
+    _check_cap(g.n, "pd_reg_bounds")
     masks = g.masks
     memo: dict[int, tuple[int, int]] = {}
 
@@ -400,16 +392,15 @@ def pd_reg_bounds(g: Graph) -> tuple[int, int, int, int]:
             covers.induced_matching_number(g), reg_hi)
 
 
-def proj_dim(g: Graph, field: FieldSpec = GF2, max_n: int | None = None) -> int:
-    return pd_and_reg(g, field, max_n)[0]
+def proj_dim(g: Graph, field: FieldSpec = GF2) -> int:
+    return pd_and_reg(g, field)[0]
 
 
-def regularity(g: Graph, field: FieldSpec = GF2, max_n: int | None = None) -> int:
-    return pd_and_reg(g, field, max_n)[1]
+def regularity(g: Graph, field: FieldSpec = GF2) -> int:
+    return pd_and_reg(g, field)[1]
 
 
-def dual_regularity(g: Graph, field: FieldSpec = GF2,
-                    max_n: int | None = None) -> int:
+def dual_regularity(g: Graph, field: FieldSpec = GF2) -> int:
     """Castelnuovo-Mumford regularity of the cover ideal (the Alexander
     dual of the edge ideal), via the subset-homology sum run on the complex
     of non-covers restricted to each W. Returns reg of the ideal, i.e. reg
@@ -424,7 +415,7 @@ def dual_regularity(g: Graph, field: FieldSpec = GF2,
     none of them lies in every facet: the complex is a cone, with no
     reduced homology.
     """
-    _check_cap(g, max_n, "dual_regularity")
+    _check_cap(g.n, "dual_regularity")
     if isolated := [v for v in range(g.n) if not g.masks[v]]:
         raise ParameterRangeError(
             f"dual side needs an isolate-free graph; isolated: {isolated}")
@@ -454,28 +445,26 @@ def dual_regularity(g: Graph, field: FieldSpec = GF2,
     return reg_quotient + 1
 
 
-def dual_check(g: Graph, field: FieldSpec = GF2,
-               max_n: int | None = None) -> DualReport:
+def dual_check(g: Graph, field: FieldSpec = GF2) -> DualReport:
     """Compute reg of the cover ideal and pd of the edge-ideal quotient
     independently and report them side by side (Terai's identity says they
     agree, and both dominate the maximum minimal cover size)."""
     return DualReport(
-        reg_dual=dual_regularity(g, field, max_n),
-        pd_primal=pd_and_reg(g, field, max_n)[0],
+        reg_dual=dual_regularity(g, field),
+        pd_primal=pd_and_reg(g, field)[0],
         tau_max=covers.tau_max(g),
     )
 
 
-def field_disagreements(g: Graph, characteristics=(2, 3, 0),
-                        max_n: int | None = None) -> list[dict]:
+def field_disagreements(g: Graph, characteristics=(2, 3, 0)) -> list[dict]:
     """Compare Betti tables across coefficient fields; one record per
     characteristic whose table differs from the first one. Empty means the
     invariants are characteristic-independent for this graph."""
     base_char = characteristics[0]
-    base = betti_table(g, FieldSpec(base_char), max_n)
+    base = betti_table(g, FieldSpec(base_char))
     out = []
     for c in characteristics[1:]:
-        other = betti_table(g, FieldSpec(c), max_n)
+        other = betti_table(g, FieldSpec(c))
         if other.entries != base.entries:
             out.append({"characteristic": c, "against": base_char,
                         "entries": other.entries, "base": base.entries})

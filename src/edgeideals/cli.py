@@ -1,7 +1,10 @@
 """Command-line surface: machine-readable access to every operation.
 
 Exit codes: 0 success, 1 usage error, 2 graph parse error, 3 resource cap
-exceeded, 4 verification found a counterexample.
+exceeded, 4 verification found a counterexample. Each cap is set by its
+environment variable alone: EDGEIDEALS_MAX_BETTI_N (Betti tables),
+EDGEIDEALS_MAX_ENUM_N (enumeration) or EDGEIDEALS_MAX_MIS (independent set
+search).
 
 `main(argv)` is safe to call any number of times in one process: it
 builds the argument parser on its first call and reuses it after that.
@@ -81,7 +84,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_betti(args) -> int:
     g = _read_graph(args)
-    table = betti.betti_table(g, _field(args), args.max_n)
+    table = betti.betti_table(g, _field(args))
     if args.format == "ascii":
         print(betti.render_betti_ascii(table))
     else:
@@ -97,7 +100,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for g in atlas.enumerate_graphs(args.n, args.filter, args.max_n):
+    for g in atlas.enumerate_graphs(args.n, args.filter):
         print(gio.to_graph6(g))
     return EXIT_OK
 
@@ -121,9 +124,7 @@ def _cmd_verify(args) -> int:
         print(rep.json_line())
         bad = bool(rep.mismatches)
     elif args.what == "spectrum":
-        up_to = (atlas.SPECTRUM_HOMOLOGY_MAX_N if args.max_n is None
-                 else args.max_n)
-        checks = atlas.verify_spectrum(args.n, _field(args), homology_up_to=up_to)
+        checks = atlas.verify_spectrum(args.n, _field(args))
         for check in checks:
             print(check.json_line())
             bad |= not check.ok
@@ -173,8 +174,6 @@ def build_parser() -> _Parser:
     add_graph_source(p)
     p.add_argument("--char", type=int, default=2,
                    help="coefficient field characteristic (0 or a prime)")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="override the subset-sum size cap")
     p.add_argument("--format", choices=("json", "ascii"), default="json")
     p.set_defaults(func=_cmd_betti)
 
@@ -188,7 +187,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--filter", choices=("all", "no-isolated", "connected"),
                    default="all")
-    p.add_argument("--max-n", type=int, default=None)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a theorem-verification harness")
@@ -200,10 +198,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--char", type=int, default=2)
-    p.add_argument("--max-n", type=int, default=None,
-                   help="homology cutoff for verify spectrum: (pd, reg) is "
-                        "checked for n <= this (default: the Betti cap, "
-                        f"{atlas.SPECTRUM_HOMOLOGY_MAX_N})")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=_cmd_verify)
     return parser

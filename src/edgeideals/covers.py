@@ -52,7 +52,7 @@ def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
     Raises ResourceLimitError when there are more sets than the cap, the
     integer in EDGEIDEALS_MAX_MIS or else DEFAULT_MAX_MIS.
     """
-    cap = resolve_cap(None, "EDGEIDEALS_MAX_MIS", DEFAULT_MAX_MIS)
+    cap = resolve_cap("EDGEIDEALS_MAX_MIS", DEFAULT_MAX_MIS)
     left = cap
     full = (1 << len(masks)) - 1
     comp = [full & ~m & ~(1 << v) for v, m in enumerate(masks)]

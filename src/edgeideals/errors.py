@@ -23,11 +23,9 @@ class ResourceLimitError(RuntimeError):
     """An operation refused to run because an input exceeds its size cap."""
 
 
-def resolve_cap(max_n: int | None, env_var: str, default: int) -> int:
-    """A size cap: max_n when given, else the integer in the environment
-    variable env_var when set and non-empty, else default."""
-    if max_n is not None:
-        return max_n
+def resolve_cap(env_var: str, default: int) -> int:
+    """A size cap: the integer in the environment variable env_var when set
+    and non-empty, else default."""
     raw = os.environ.get(env_var)
     if not raw:
         return default

@@ -21,8 +21,8 @@ from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
 from edgeideals.gio import from_graph6, to_graph6
-from edgeideals.graphs import (Graph, is_chordal, is_gap_free,
-                               isolated_vertices, relabel)
+from edgeideals.graphs import (Graph, disjoint_union, is_chordal,
+                               is_gap_free, isolated_vertices, relabel)
 from edgeideals.homology import GF2, GF3, QQ
 from edgeideals.spectrum import cover_lower_bound
 from oracles import atlas_levels_unpruned
@@ -155,13 +155,44 @@ def test_atlas_level_8_order_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == LEVEL_8_SHA256
 
 
-def test_search_automorphism_cap_never_binds_to_n8():
-    # _canonical_search stops storing perms at 128; on every graph with
-    # n <= 8 it stores at most 10, so the orbit pruning in _atlas_level
-    # never runs on a capped set
+def _symmetric_graphs():
+    """Petersen, the icosahedron, K3 x K3, 2C6 and 4K3."""
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                     + [(i, 5 + i) for i in range(5)])
+    # apexes 0 and 11, upper ring 1..5, lower ring 6..10
+    icosahedron = Graph(12, [(0, i) for i in range(1, 6)]
+                        + [(11, i) for i in range(6, 11)]
+                        + [(1 + i, 1 + (i + 1) % 5) for i in range(5)]
+                        + [(6 + i, 6 + (i + 1) % 5) for i in range(5)]
+                        + [(1 + i, 6 + i) for i in range(5)]
+                        + [(1 + i, 6 + (i + 1) % 5) for i in range(5)])
+    rook = Graph(9, [(u, v) for u, v in combinations(range(9), 2)
+                     if u // 3 == v // 3 or u % 3 == v % 3])
+    two_c6 = disjoint_union(cycle_graph(6), cycle_graph(6))
+    k3 = complete_graph(3)
+    four_k3 = disjoint_union(disjoint_union(k3, k3), disjoint_union(k3, k3))
+    return petersen, icosahedron, rook, two_c6, four_k3
+
+
+def test_search_stores_few_automorphisms():
+    # _canonical_search keeps every perm it finds, with no cap; the orbit
+    # pruning keeps them few: at most 10 on every graph with n <= 8, and at
+    # most 2n on highly symmetric graphs up to n = 12, whose bits still do
+    # not depend on the labeling
     most = max(len(_canonical_search(g.masks, n)[1])
                for n in range(9) for g in _atlas_level(n))
-    assert most < 128
+    assert most <= 10
+    rng = random.Random(17)
+    for g in _symmetric_graphs():
+        assert len({m.bit_count() for m in g.masks}) == 1  # regular
+        bits, auts = _canonical_search(g.masks, g.n)
+        assert len(auts) <= 2 * g.n
+        assert all(_is_automorphism(g, a) for a in auts)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_bits(relabel(g, perm).masks, g.n) == bits
 
 
 def _is_automorphism(g, perm):
@@ -296,6 +327,16 @@ def test_verify_spectrum_homology_to_betti_cap():
     assert all(c.pd is not None and c.ok for c in checks)
 
 
+def test_verify_spectrum_homology_to_betti_cap_in_force(monkeypatch):
+    # a lower cap moves the cutoff with it: the pairs above it are still
+    # checked for tau_max, chordality and gap-freeness, not refused
+    monkeypatch.setenv("EDGEIDEALS_MAX_BETTI_N", "12")
+    checks = verify_spectrum(14)
+    assert {c.n for c in checks} == set(range(2, 15))
+    assert all(c.ok for c in checks)
+    assert all((c.pd is None) == (c.n > 12) for c in checks)
+
+
 def test_pdr_spectrum_small():
     rep = pdr_spectrum(4)
     assert rep.row(1) == {2, 3}
@@ -306,7 +347,7 @@ def test_pdr_spectrum_small():
     assert all(line.startswith("4,") for line in lines)
     rep6 = pdr_spectrum(6)
     assert rep6.row(1) == {3, 4, 5}
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_ENUM_N"):
         pdr_spectrum(10)
 
 

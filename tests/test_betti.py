@@ -319,18 +319,29 @@ def test_hochster_summand():
         hochster_summand(c4, (0, 9))
 
 
+def test_hochster_summand_cap():
+    # |W| is held to the Betti cap before any subset is walked: W = C40
+    # is refused at once, while a 16-vertex W of it (the path P16) runs
+    c40 = cycle_graph(40)
+    with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_BETTI_N"):
+        hochster_summand(c40, range(40))
+    assert hochster_summand(c40, range(16)) == \
+        hochster_summand(path_graph(16), range(16))
+
+
 def test_isolated_vertices_contribute_nothing():
     g = Graph(3, [(0, 1)])
     t = betti_table(g)
     assert t.entries == GOLDEN_K2
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         betti_table(Graph(20))
     with pytest.raises(ResourceLimitError):
         pd_and_reg(Graph(17))
-    assert betti_table(Graph(17), max_n=17).entries == {(0, 0): 1}
+    monkeypatch.setenv("EDGEIDEALS_MAX_BETTI_N", "17")
+    assert betti_table(Graph(17)).entries == {(0, 0): 1}
 
 
 def test_dual_check_terai():
@@ -497,7 +508,7 @@ def test_pd_reg_bounds_small_cases_and_cap(monkeypatch):
     # pd <= max(1 + 2, 2 + 1) = 3 and reg <= max(1, 1 + 1) = 2
     assert pd_reg_bounds(cycle_graph(5)) == (3, 3, 1, 2)
     assert pd_and_reg(cycle_graph(5)) == (3, 2)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_BETTI_N"):
         pd_reg_bounds(path_graph(17))
     monkeypatch.setenv("EDGEIDEALS_MAX_BETTI_N", "18")
     assert pd_reg_bounds(path_graph(17))[:2] == (

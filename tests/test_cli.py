@@ -133,8 +133,9 @@ def test_verify_spectrum(capsys):
     assert all(r["ok"] for r in recs)
 
 
-def test_verify_spectrum_max_n_zero_skips_homology(capsys):
-    code, out, _ = run(capsys, "verify", "spectrum", "--n", "4", "--max-n", "0")
+def test_verify_spectrum_betti_cap_zero_skips_homology(capsys, monkeypatch):
+    monkeypatch.setenv("EDGEIDEALS_MAX_BETTI_N", "0")
+    code, out, _ = run(capsys, "verify", "spectrum", "--n", "4")
     lines = out.strip().splitlines()
     assert code == 0 and lines
     assert all('"pd": null' in line for line in lines)
@@ -158,6 +159,8 @@ def test_exit_codes(capsys, tmp_path):
     # resource cap
     code, _, err = run(capsys, "enumerate", "--n", "10")
     assert code == 3
+    code, _, err = run(capsys, "verify", "pdr-spec", "--n", "10")
+    assert code == 3 and "EDGEIDEALS_MAX_ENUM_N" in err
     code, _, err = run(capsys, "betti", "--family", "hs:5")
     assert code == 3
     # missing file -> parse-side error
@@ -250,6 +253,20 @@ def test_help_returns_zero(capsys):
     assert code == 0 and out.startswith("usage: edgeideals")
     code, out, _ = run(capsys, "betti", "--help")
     assert code == 0 and "--char" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "--family", "c4"),
+    ("enumerate", "--n", "3"),
+    ("verify", "bound", "--n", "4", "--exhaustive"),
+])
+def test_caps_have_no_flag(capsys, argv):
+    # each size cap is set by its environment variable alone
+    code, out, _ = run(capsys, argv[0], "-h")
+    assert code == 0 and "--max-n" not in out
+    code, out, err = run(capsys, *argv, "--max-n", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
 
 # Tokens for argv: every subcommand and flag, family specs, small ints and
