@@ -22,8 +22,14 @@ The isomorph-free atlas grows each level from the one below by adding a
 vertex, trying one attachment set per automorphism orbit of the parent.
 A child that has a one-vertex deletion whose invariants only parents
 earlier in the level have is dropped with no canonical form: its class was
-met under that earlier parent (the deletion test, proved in _atlas_level).
-Only the children it keeps are deduplicated by canonical form.
+met under that earlier parent (the deletion test). Its tables are built
+once per parent, so each child costs a few adds per old vertex. A child
+it keeps gets a class key, a hash of the sorted (degree, triangles,
+neighbour-degree sum) rows of its vertices, computed from the parent's
+rows; a new key is a new class, and only a child whose key was met before
+gets a canonical form. Both
+steps are proved in _atlas_level: every level, its order and every
+representative are those of deduplicating every child by canonical form.
 """
 
 from __future__ import annotations
@@ -293,58 +299,155 @@ def _deletion_key(masks: tuple[int, ...], b: int) -> int:
     return hist + (sum(_triangles(masks)) // 3 << (b << b))
 
 
-def _earlier_deletion(base: tuple[int, ...], attach: int, deg: list[int],
-                      tri: list[int], b: int, last: dict[int, int],
-                      i: int) -> bool:
-    """Whether the child C of parent i (masks `base`, degrees `deg`,
-    triangles per vertex `tri`) whose new vertex is joined to `attach` has
-    an old vertex w with last[_deletion_key(C - w)] < i.
+def _deletion_tables(base: tuple[int, ...], b: int
+                     ) -> tuple[int, list[int], list[int], list[int]]:
+    """The parts of the deletion test of parent `base` that do not depend
+    on the attachment set: (key0, up, dup, h0).
 
-    Each key follows from C's in O(deg w): w's count leaves the histogram,
-    each neighbour of w moves down one degree, and the triangles through w
-    go. An attached w also has the new vertex as a neighbour, and one more
-    triangle per attached neighbour."""
+    key0 is the parent's _deletion_key. A vertex u of degree d adds
+    pw[u] = 1 << b*d to the histogram, and a neighbour's deletion moves it
+    down one degree, which takes drop[u] = pw[u] - (pw[u] >> b). When u is
+    attached its degree goes up by one: its histogram term grows by up[u]
+    and its drop by dup[u]. h0[w] is what deleting w takes from the key of
+    a child in which w and its neighbours are not attached."""
     s = b << b
-    pw = [1 << b * (d + (attach >> u & 1)) for u, d in enumerate(deg)]
-    pw_new = 1 << b * attach.bit_count()
-    # what a neighbour's move down one degree takes from the histogram
+    tri = _triangles(base)
+    pw = [1 << b * m.bit_count() for m in base]
     drop = [p - (p >> b) for p in pw]
+    up = [(p << b) - p for p in pw]
+    dup = [x - y for x, y in zip(up, drop)]
+    h0 = [-p - (t << s) - sum(drop[y] for y in _bits(m))
+          for p, t, m in zip(pw, tri, base)]
+    return sum(pw) + (sum(tri) // 3 << s), up, dup, h0
+
+
+def _earlier_deletion(base: tuple[int, ...], attach: int,
+                      tables: tuple[int, list[int], list[int], list[int]],
+                      b: int, last: dict[int, int], i: int) -> bool:
+    """Whether the child C of parent i (masks `base`, `tables` from
+    _deletion_tables) whose new vertex is joined to `attach` has an old
+    vertex w with last[_deletion_key(C - w)] < i.
+
+    C's key is key0 plus up[u] for each attached u, the new vertex's
+    histogram term, and one triangle per edge among the attached. Each
+    key of C - w follows from it in O(|N(w) & attach|): h0[w], dup[y] for
+    each attached neighbour y of w, and, if w itself is attached, its
+    degree step up[w], the new vertex's move down one degree and the
+    triangles that w closes with the new vertex."""
+    key0, up, dup, h0 = tables
+    s = b << b
+    pw_new = 1 << b * attach.bit_count()
     drop_new = pw_new - (pw_new >> b)
-    # the new vertex closes one triangle per edge among the attached
-    inner = sum((base[u] & attach).bit_count() for u in _bits(attach)) // 2
-    key = sum(pw) + pw_new + (sum(tri) // 3 + inner << s)
+    key = key0 + pw_new
+    inner = 0
+    a = attach
+    while a:
+        low = a & -a
+        u = low.bit_length() - 1
+        key += up[u]
+        inner += (base[u] & attach).bit_count()
+        a ^= low
+    key += inner >> 1 << s
     # latest vertex first: its deletion is the likeliest to be an early
     # parent (at n = 8, 1.2 vertices tried per dropped child against 2.9)
     for w in range(len(base) - 1, -1, -1):
-        m = base[w]
-        h = key - pw[w] - (tri[w] << s)
+        m = base[w] & attach
+        h = key + h0[w]
         if attach >> w & 1:
-            h -= drop_new + ((m & attach).bit_count() << s)
+            h -= up[w] + drop_new + (m.bit_count() << s)
         while m:
             low = m & -m
-            h -= drop[low.bit_length() - 1]
+            h -= dup[low.bit_length() - 1]
             m ^= low
         if last[h] < i:
             return True
     return False
 
 
+def _vertex_rows(masks: tuple[int, ...], b: int) -> list[int]:
+    """Per vertex v of a graph on fewer than 2^b vertices, the row
+    (deg v, triangles through v, sum of the degrees of v's neighbours)
+    packed as deg | tri << b | nsum << 3b, each field below its shift."""
+    deg = [m.bit_count() for m in masks]
+    return [d | t << b | sum(deg[u] for u in _bits(m)) << 3 * b
+            for d, t, m in zip(deg, _triangles(masks), masks)]
+
+
+def _child_rows(base: tuple[int, ...], rows: list[int], attach: int,
+                b: int) -> list[int]:
+    """_vertex_rows of the child of `base` (rows `rows`, from
+    _vertex_rows(base, b)) whose new vertex is joined to `attach`, with no
+    graph built. An old vertex u with c neighbours in `attach` gains c in
+    its neighbour-degree sum; if u is attached it also gains one degree, c
+    triangles and the new vertex's degree k = |attach|. The new vertex has
+    degree k, one triangle per edge among the attached and the attached
+    vertices' degrees plus k as its sum."""
+    t = 3 * b
+    k = attach.bit_count()
+    dmask = (1 << b) - 1
+    out = []
+    inner = nsum = 0
+    for u, m in enumerate(base):
+        c = (m & attach).bit_count()
+        r = rows[u] + (c << t)
+        if attach >> u & 1:
+            r += 1 + (c << b) + (k << t)
+            inner += c
+            nsum += rows[u] & dmask
+        out.append(r)
+    out.append(k | (inner >> 1) << b | nsum + k << t)
+    return out
+
+
+def _class_key(rows: list[int]) -> int:
+    """A hash of the sorted multiset of packed rows: an isomorphism
+    invariant of the graph whose _vertex_rows they are, one machine word
+    whatever n. It is lossy, but two classes that share it only cost
+    canonical forms (_new_class)."""
+    return hash(tuple(sorted(rows)))
+
+
+def _new_class(seen: dict[int, tuple[int, ...] | int | set[int]], key: int,
+               masks: tuple[int, ...], n: int) -> bool:
+    """Whether the child `masks` is a class not yet in `seen`, recording
+    it if so. `seen` maps each class key met to the first child kept with
+    it, as its masks until a second child with that key arrives, then as
+    its canonical bits, and as the set of bits of every kept child in the
+    rare case where two classes share the key."""
+    entry = seen.get(key)
+    if entry is None:
+        seen[key] = masks
+        return True
+    bits = canonical_bits(masks, n)
+    if type(entry) is tuple:
+        entry = seen[key] = canonical_bits(entry, n)
+    if type(entry) is int:
+        if bits == entry:
+            return False
+        seen[key] = {entry, bits}
+        return True
+    if bits in entry:
+        return False
+    entry.add(bits)
+    return True
+
+
 def _atlas_level(n: int) -> list[Graph]:
     """One representative per isomorphism class on exactly n vertices,
-    grown by vertex augmentation from the (n-1)-level with canonical-form
-    deduplication. Cached per process.
+    grown by vertex augmentation from the (n-1)-level. Cached per process.
 
     Each parent gets a new vertex n-1 joined to an attachment set. Only the
     sets least in their orbit under Aut(parent) are tried, in ascending
     mask order (orbit pruning, after McKay, *Isomorph-free exhaustive
     generation*, J. Algorithms 26, 1998). The first child met for each
     class, and so every representative and its position, is the same as
-    when all 2^(n-1) sets are tried.
+    when all 2^(n-1) sets are tried and each child is kept when its
+    canonical form is new.
 
     Deletion test. `last` maps each _deletion_key to the position of the
     last parent with that key. The child C of parent i is dropped, with no
     canonical form, when some old vertex w has last[key(C - w)] < i. It is
-    dropped only if `seen` would drop it:
+    dropped only if its class was met before:
     - C - w has n - 1 vertices, so it is isomorphic to some parent P_j. The
       key is an isomorphism invariant, so P_j has the key of C - w, and
       every parent with that key comes before i: j < i.
@@ -352,14 +455,32 @@ def _atlas_level(n: int) -> list[Graph]:
       least set of S's orbit under the perms found for P_j was tried under
       P_j, and its child C' is isomorphic to C.
     - C' was met before C. By induction on the order children are met, its
-      class was in `seen` after that: C' was kept, or `seen` dropped it, or
-      the deletion test did, which it does only to a class in `seen`.
-    So every level, its order and every representative are the same as
-    without the test. The key only has to be an isomorphism invariant: a
-    coarser key drops fewer children, never a wrong one. The new vertex is
-    never tried as w: deleting it gives parent i, and last[key] >= i there.
-    At n = 7, 8 and 9 the test leaves 1,212, 20,856 and 816,686 canonical
-    forms to compute, of 5,096, 79,264 and 2,208,612 orbit-least children.
+      class was kept by then: C' was kept, or it was dropped, which happens
+      only to a class already kept.
+    The key only has to be an isomorphism invariant: a coarser key drops
+    fewer children, never a wrong one. The new vertex is never tried as w:
+    deleting it gives parent i, and last[key] >= i there. The tables of
+    _deletion_tables are built once per parent, so each child costs
+    O(|N(w) & A|) per old vertex w.
+
+    Dedup by class key. Each child the deletion test keeps gets its
+    _class_key, a hash of the sorted rows (degree, triangles,
+    neighbour-degree sum) of its vertices, which _child_rows computes from
+    the parent's rows with no graph built.
+    Lemma: a child is kept iff no kept child is isomorphic to it, exactly
+    as when every child's canonical form is looked up.
+    - A child whose key is new is a new class: a kept child isomorphic to
+      it would have the same key, since the key is an isomorphism
+      invariant, and every kept child's key is in `seen`.
+    - A child whose key was met is compared by canonical_bits with every
+      kept child of that key (_new_class), and no other kept child can be
+      isomorphic to it.
+    So every level, its order and every representative are unchanged; a
+    coarser key, or two classes whose rows hash alike, would only cost more
+    canonical forms. canonical_bits runs only on a child whose key was met
+    before: 0 times to n = 6, then 325, 14,413 and 769,126 times at n = 7,
+    8 and 9, against 1,212, 20,856 and 816,686 with every kept child's form
+    looked up, of 5,096, 79,264 and 2,208,612 orbit-least children.
 
     A child is built from its parent's masks, and only when the deletion
     test keeps it; no level caches an edge tuple on the graphs it keeps.
@@ -368,31 +489,35 @@ def _atlas_level(n: int) -> list[Graph]:
     if cached is not None:
         return cached
     parents = _atlas_level(n - 1)
-    seen: set[int] = set()
+    seen: dict[int, tuple[int, ...] | int | set[int]] = {}
     level: list[Graph] = []
     new = n - 1
     bit = 1 << new
+    # one int object per mask value, shared by every child: a mask above
+    # 256 is past CPython's small-int cache, and at n = 9 a fresh int per
+    # attached vertex of each kept child was 48 of the 126 MiB that
+    # building the level added
+    ints = list(range(bit << 1))
     b = n.bit_length()
     last = {_deletion_key(p.masks, b): i for i, p in enumerate(parents)}
     for i, parent in enumerate(parents):
         base = parent.masks
-        deg = [m.bit_count() for m in base]
-        tri = _triangles(base)
+        tables = _deletion_tables(base, b)
+        rows = _vertex_rows(base, b)
         # A set A and its image under an automorphism a of the parent give
         # isomorphic children (extend a by fixing the new vertex), and the
         # least set of the orbit comes first in this loop, so each skipped
-        # set would have hit `seen`. Where the stored perms generate only
-        # a subgroup, its orbits are finer: more sets are tried, and `seen`
-        # still keeps the same first child.
+        # set would have been dropped as met. Where the stored perms
+        # generate only a subgroup, its orbits are finer: more sets are
+        # tried, and the same first child is kept.
         auts = _canonical_search(base, new)[1]
         for attach in _orbit_least_masks(auts, new):
-            if _earlier_deletion(base, attach, deg, tri, b, last, i):
+            if _earlier_deletion(base, attach, tables, b, last, i):
                 continue
-            masks = tuple(m | bit if attach >> u & 1 else m
-                          for u, m in enumerate(base)) + (attach,)
-            bits = canonical_bits(masks, n)
-            if bits not in seen:
-                seen.add(bits)
+            key = _class_key(_child_rows(base, rows, attach, b))
+            masks = tuple(ints[m | bit] if attach >> u & 1 else m
+                          for u, m in enumerate(base)) + (ints[attach],)
+            if _new_class(seen, key, masks, n):
                 level.append(Graph._from_masks(masks))
     _ATLAS_CACHE[n] = level
     return level

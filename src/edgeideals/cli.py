@@ -19,7 +19,7 @@ import functools
 import json
 import sys
 
-from . import atlas, betti, covers, families, gio, graphs, homology, spectrum
+from . import atlas, betti, covers, families, gio, graphs, homology
 from .errors import GraphParseError, ParameterRangeError, ResourceLimitError
 
 EXIT_OK = 0

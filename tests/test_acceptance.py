@@ -10,21 +10,20 @@ from pathlib import Path
 import pytest
 
 from edgeideals.atlas import (canonical_bits, enumerate_graphs, pdr_spectrum,
-                              random_graph, recognize_family, verify_bound,
+                              random_graph, verify_bound,
                               verify_classification, verify_spectrum)
 from edgeideals.betti import (betti_table, dual_check, pd_and_reg)
 from edgeideals.covers import (enumerate_minimal_covers,
                                induced_matching_number, matching_number,
                                tau_max)
-from edgeideals.families import (complete_graph, cycle_graph, path_graph,
-                                 pendant_clique, two_k2)
+from edgeideals.families import (cycle_graph, path_graph, pendant_clique,
+                                 two_k2)
 from edgeideals.gio import from_graph6
 from edgeideals.graphs import is_chordal, isolated_vertices
 from edgeideals.homology import (GF2, GF3, QQ, homology_dims,
                                  independence_complex,
                                  reduced_euler_characteristic)
-from edgeideals.spectrum import (build_pdr_graph, build_spectrum_graph,
-                                 cover_lower_bound, pdr_range)
+from edgeideals.spectrum import build_pdr_graph, pdr_range
 from oracles import betti_table_naive, minimal_covers_bruteforce
 
 pytestmark = pytest.mark.acceptance

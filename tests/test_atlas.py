@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from edgeideals import atlas
 from edgeideals.atlas import (UNLABELED_GRAPH_COUNTS, CanonicalForm,
                               PdrPoint, PdrSpectrumReport, _atlas_level,
-                              _canonical_search, _orbit_least_masks,
+                              _canonical_search, _child_rows, _class_key,
+                              _deletion_key, _deletion_tables,
+                              _earlier_deletion, _orbit_least_masks,
+                              _vertex_rows,
                               canonical_bits, canonical_form,
                               enumerate_graphs, pdr_spectrum, random_graph,
                               recognize_family, verify_bound,
@@ -21,8 +24,9 @@ from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
 from edgeideals.gio import from_graph6, to_graph6
-from edgeideals.graphs import (Graph, disjoint_union, is_chordal,
-                               is_gap_free, isolated_vertices, relabel)
+from edgeideals.graphs import (Graph, disjoint_union, induced_subgraph,
+                               is_chordal, is_gap_free, isolated_vertices,
+                               relabel)
 from edgeideals.homology import GF2, GF3, QQ
 from edgeideals.spectrum import cover_lower_bound
 from oracles import atlas_levels_unpruned
@@ -126,9 +130,12 @@ def test_atlas_levels_equal_unpruned_oracle():
 
 
 def test_atlas_deletion_test_saves_canonical_forms(monkeypatch):
-    # level 7 from a cold cache: a child whose one-vertex deletion can only
-    # be an earlier parent gets no canonical form (5,096 calls without the
-    # deletion test, one per orbit-least attachment set)
+    # from a cold cache: a child whose one-vertex deletion can only be an
+    # earlier parent gets no canonical form, and of the others only those
+    # whose class key was met before get one (5,096 calls at n = 7 with
+    # neither test, one per orbit-least attachment set; 1,212 with the
+    # deletion test alone). Up to n = 6 the class key separates every
+    # class the deletion test keeps.
     calls = []
 
     def counted(masks, n):
@@ -138,10 +145,67 @@ def test_atlas_deletion_test_saves_canonical_forms(monkeypatch):
     monkeypatch.setattr(atlas, "_ATLAS_CACHE", {0: [Graph(0)]})
     monkeypatch.setattr(atlas, "canonical_bits", counted)
     _atlas_level(6)
-    calls.clear()
+    assert calls == []
     level = _atlas_level(7)
     assert len(level) == UNLABELED_GRAPH_COUNTS[7]
-    assert len(calls) <= 1700
+    assert len(calls) <= 400
+
+
+def _orbit_least_children(n):
+    """(i, parent, attach, child) for every parent in level n - 1, at
+    position i, and each attachment set the atlas tries on it; the child,
+    on n vertices, is built from the parent's edges."""
+    for i, parent in enumerate(_atlas_level(n - 1)):
+        auts = _canonical_search(parent.masks, n - 1)[1]
+        for attach in _orbit_least_masks(auts, n - 1):
+            child = Graph(n, list(parent.edges)
+                          + [(u, n - 1) for u in range(n - 1)
+                             if attach >> u & 1])
+            yield i, parent, attach, child
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_deletion_tables_match_explicit_deletions(n):
+    # the deletion test's verdict from per-parent tables equals the one
+    # from the key of each C - w built as a graph of its own
+    b = n.bit_length()
+    last = {_deletion_key(p.masks, b): i
+            for i, p in enumerate(_atlas_level(n - 1))}
+    dropped = 0
+    for i, parent, attach, child in _orbit_least_children(n):
+        keys = [_deletion_key(induced_subgraph(
+            child, [v for v in range(n) if v != w]).masks, b)
+            for w in range(n - 1)]
+        expect = any(last[key] < i for key in keys)
+        tables = _deletion_tables(parent.masks, b)
+        assert _earlier_deletion(parent.masks, attach, tables, b, last,
+                                 i) == expect, (parent.edges, attach)
+        dropped += expect
+    if n == 7:
+        assert dropped == 5096 - 1212
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_key_from_parent_matches_child(n):
+    # the rows the atlas keys a child by, computed from its parent's, are
+    # the child's own, so its key is too
+    b = n.bit_length()
+    for _, parent, attach, child in _orbit_least_children(n):
+        rows = _child_rows(parent.masks, _vertex_rows(parent.masks, b),
+                           attach, b)
+        assert rows == _vertex_rows(child.masks, b), (parent.edges, attach)
+
+
+@given(st.integers(1, 9), st.sampled_from((0.2, 0.5, 0.8)),
+       st.integers(0, 10 ** 9))
+@settings(max_examples=100, deadline=None)
+def test_class_key_invariant_under_relabeling(n, p, seed):
+    g = random_graph(n, p, seed)
+    b = n.bit_length()
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    assert _class_key(_vertex_rows(relabel(g, perm).masks, b)) == \
+        _class_key(_vertex_rows(g.masks, b))
 
 
 # sha256 of the graph6 lines of level 8, in order, as built with no
