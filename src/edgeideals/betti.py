@@ -6,10 +6,10 @@ dim H~_{j-i-1} of the independence complex of G[W] over the chosen field.
 betti_table is the one place that sum is evaluated; pd and reg, the pair
 the cover bounds are about, are read off its table. Every W, component
 and folded piece is a vertex mask of G itself, so the sum walks submasks
-of each component mask the leaf split leaves and hands each set to
-independence_complex(g, w) without relabeling; one memo, keyed on those
-masks, serves a whole betti_table call. Exact shortcuts that do not change
-any entry, over any field:
+of each component mask the leaf split leaves, and the few complexes it
+builds are independence_complex(g, w), with no relabeling; one memo, keyed
+on those masks, serves a whole betti_table call. Exact shortcuts that do
+not change any entry, over any field:
 
 * the sum factors over components: S/I(G + H) is the tensor product of
   S/I(G) and S/I(H) over disjoint sets of variables, so the Betti
@@ -46,7 +46,21 @@ any entry, over any field:
   Ind(A + B) is the join Ind(A) * Ind(B), and over a field
   H~_{k+1}(X * Y) is the sum over i + j = k of H~_i(X) (x) H~_j(Y). Each
   piece is memoized on its own; it is fold-stable, since no vertex of a
-  piece has a neighbour outside it.
+  piece has a neighbour outside it;
+* a folded W that is one piece is split at x, the least vertex of largest
+  degree in G[W] (the pivot of pd_reg_bounds; Adamaszek, J. Combin. Theory
+  Ser. A 119, 2012): in X = Ind(G[W]) the faces without x form
+  D = Ind(G[W - x]), those with x the cone x * L over L = Ind(G[W - N[x]]),
+  and D and the cone meet in L. The cone is acyclic, so the reduced
+  Mayer-Vietoris sequence reads
+      .. -> H~_k(L) -> H~_k(D) -> H~_k(X) -> H~_{k-1}(L) -> H~_{k-1}(D) -> ..
+  When no k has both H~_k(L) and H~_k(D) nonzero, every map H~_k(L) ->
+  H~_k(D) is zero, the sequence breaks into short exact pieces
+  0 -> H~_k(D) -> H~_k(X) -> H~_{k-1}(L) -> 0, and over a field
+  dim H~_k(X) = dim H~_k(D) + dim H~_{k-1}(L). D and L come from the
+  same memo, folded and split in turn, each a proper subset of W. Only when
+  some degree is shared, where the map may have any rank, is X built and
+  its homology computed.
 
 pd_reg_bounds boxes pd and reg without visiting a subset, over every field:
 
@@ -181,10 +195,32 @@ def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _pivot(masks: tuple[int, ...], w: int) -> tuple[int, int, int]:
+    """(live, x, deg) for the vertex mask w: live holds the vertices with a
+    neighbour in W, and x, a one-bit mask, is the least vertex of the
+    largest degree deg in G[W] (x = deg = 0 when W has no edge)."""
+    live = x = deg = 0
+    m = w
+    while m:
+        low = m & -m
+        d = (masks[low.bit_length() - 1] & w).bit_count()
+        if d:
+            live |= low
+            if d > deg:
+                deg, x = d, low
+        m ^= low
+    return live, x, deg
+
+
 def _ind_homology(g: Graph, w_mask: int, field: FieldSpec,
                   memo: dict[int, dict[int, int]]) -> dict[int, int]:
     """Nonzero reduced homology of Ind(G[W]), memoized in `memo` by the
-    folded subset and by each of its connected pieces."""
+    folded subset and by each of its connected pieces.
+
+    A disconnected folded W is the join of its pieces. A connected one is
+    split at the pivot x of _pivot: H~_k = H~_k(W - x) + H~_{k-1}(W - N[x]),
+    both from this function, unless the two share a degree, in which case
+    Ind(G[W]) is built (see the module docstring)."""
     w = _fold(g.masks, w_mask)
     if w is None:
         return {}
@@ -192,7 +228,15 @@ def _ind_homology(g: Graph, w_mask: int, field: FieldSpec,
     if hit is None:
         pieces = _components(g.masks, w)
         if len(pieces) == 1:
-            hit = homology_dims(independence_complex(g, w), field)
+            _, x, _ = _pivot(g.masks, w)
+            hit = dict(_ind_homology(g, w ^ x, field, memo))
+            link = _ind_homology(
+                g, w & ~x & ~g.masks[x.bit_length() - 1], field, memo)
+            if any(k in hit for k in link):
+                hit = homology_dims(independence_complex(g, w), field)
+            else:
+                for k, dim in link.items():
+                    hit[k + 1] = hit.get(k + 1, 0) + dim
         else:
             hit = {-1: 1}
             for piece in pieces:
@@ -366,17 +410,7 @@ def pd_reg_bounds(g: Graph) -> tuple[int, int, int, int]:
     memo: dict[int, tuple[int, int]] = {}
 
     def upper(w: int) -> tuple[int, int]:
-        live = 0
-        deg = 0
-        m = w
-        while m:
-            low = m & -m
-            d = (masks[low.bit_length() - 1] & w).bit_count()
-            if d:
-                live |= low
-                if d > deg:
-                    deg, x = d, low
-            m ^= low
+        live, x, deg = _pivot(masks, w)
         if not live:
             return 0, 0
         hit = memo.get(live)

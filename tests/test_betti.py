@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeideals import betti as betti_module
 from edgeideals.atlas import enumerate_graphs, random_graph
 from edgeideals.betti import (_dominations, _ind_homology, _tensor,
                               betti_json_dict, betti_table, dual_check,
@@ -274,6 +275,58 @@ def test_folding_keeps_homology(case, c):
     assert homology_dims(in_place, field) == unfolded
     assert ({k: len(f) for k, f in in_place.faces_by_dim.items()}
             == {k: len(f) for k, f in relabeled.faces_by_dim.items()})
+
+
+def test_split_equals_complex_every_graph_to_n6():
+    # the link-deletion split of _ind_homology against the complex itself,
+    # for every W of every graph with n <= 6 and over three fields
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for w in range(1 << n):
+                cx = independence_complex(g, w)
+                for field in (GF2, GF3, QQ):
+                    assert (_ind_homology(g, w, field, {})
+                            == homology_dims(cx, field)), (g.edges, w)
+
+
+@st.composite
+def random_graph_and_mask(draw):
+    n = draw(st.integers(1, 9))
+    g = random_graph(n, draw(st.sampled_from((.2, .35, .5, .65, .8))),
+                     draw(st.integers(0, 2 ** 31)))
+    return g, draw(st.integers(0, (1 << n) - 1))
+
+
+@given(random_graph_and_mask(), st.sampled_from((2, 3, 0)))
+@settings(max_examples=80, deadline=None)
+def test_split_equals_complex_on_random_graphs(case, c):
+    g, w = case
+    field = FieldSpec(c)
+    assert (_ind_homology(g, w, field, {})
+            == homology_dims(independence_complex(g, w), field))
+
+
+def test_split_overlap_falls_back_to_the_complex(monkeypatch):
+    # GQ~vvg is the one class with n <= 8 whose sum meets a W where
+    # H~(Ind(G[W - N[x]])) and H~(Ind(G[W - x])) share a degree; the flag
+    # RP^2 graph meets two. There the split builds the complex, and the
+    # tables still equal the naive sum over every field.
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return independence_complex(*args)
+
+    monkeypatch.setattr(betti_module, "independence_complex", counted)
+    for g6, fallbacks, pairs in (("GQ~vvg", 1, ((7, 2),) * 3),
+                                 ("JhW[X`LtKF?", 2, ((9, 3), (8, 2), (8, 2)))):
+        g = from_graph6(g6)
+        for c, pair in zip((2, 3, 0), pairs):
+            built.clear()
+            t = betti_table(g, FieldSpec(c))
+            assert len(built) == fallbacks, (g6, c)
+            assert (t.pd, t.reg) == pair
+            assert t.entries == betti_table_naive(g, c), (g6, c)
 
 
 def test_g14_table_pinned_and_field_independent():
