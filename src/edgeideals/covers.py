@@ -1,12 +1,17 @@
 """Exact cover and matching invariants.
 
-One iterative Bron-Kerbosch search lists maximal independent sets, for
-both exponential invariants: minimal vertex covers are their complements,
-and induced matchings are the independent sets of the conflict graph on the
-edges (Cameron, *Induced matchings*, Discrete Appl. Math. 24, 1989). Desk
-scale: roughly n <= 40 for the structured families, n <= 25 in general.
-The search raises ResourceLimitError once it has listed more sets than
-EDGEIDEALS_MAX_MIS (default DEFAULT_MAX_MIS, a million).
+Minimal vertex covers are the complements of maximal independent sets. An
+iterative Bron-Kerbosch search lists those sets for the two listing APIs;
+`tau_max` and `cover_report` run the same branching but only count, with
+each (P, X) state solved once per call. Induced matchings are the
+independent sets of the conflict graph on the edges (Cameron, *Induced
+matchings*, Discrete Appl. Math. 24, 1989), so the induced matching number
+is that graph's independence number, found by a clique-bounded branch and
+bound (MCQ, Tomita and Seki, DMTCS 2003). Desk scale: roughly n <= 40 for
+the structured families, n <= 25 in general. Each search raises
+ResourceLimitError past EDGEIDEALS_MAX_MIS (default DEFAULT_MAX_MIS, a
+million): the covers' searches when the graph has more maximal independent
+sets, the induced matching search when it expands more nodes.
 The matching number comes from Edmonds' blossom algorithm in O(n^3) time
 and O(n) memory, iterative, so it is exact at any n.
 """
@@ -20,8 +25,10 @@ from typing import Iterator, Sequence
 from .errors import ResourceLimitError, resolve_cap
 from .graphs import Graph, _bits
 
-# A search on tens of vertices lists about 250k sets a second, so this stops
-# it after about 4 s; no test or benchmark input lists more than 82,047.
+# The listing search on tens of vertices lists about 250k sets a second, so
+# this stops it after about 4 s. The counting search merges equal states and
+# passes the cap far sooner: on path_graph(60) in about a millisecond. No
+# benchmark input has more than 82,047 maximal independent sets.
 DEFAULT_MAX_MIS = 1_000_000
 
 
@@ -43,7 +50,7 @@ class CoverReport:
 
 def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
     """Maximal independent sets of the graph with adjacency masks `masks`,
-    as bitmasks, in no particular order.
+    as bitmasks, in no particular order, for the two listing APIs.
 
     Bron-Kerbosch with pivoting on the complement, whose cliques are the
     independent sets, on an explicit stack of (r, p, x) frames. Isolated
@@ -90,6 +97,155 @@ def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
         stack.extend(reversed(children))
 
 
+def _mis_summary(masks: Sequence[int]) -> tuple[int, int, int]:
+    """(count, least size, witness mask) of the maximal independent sets
+    of the graph with adjacency masks `masks`, without listing them.
+
+    The branching is `_mis_masks`'s. At a state (P, X) the pivot u in
+    P | X has the fewest vertices of P in N[u], and the search branches on
+    P & N[u]; a u in X with none ends the state with no set. Every set
+    below a state is the chosen prefix plus a set that depends on (P, X)
+    alone, so each state's summary is computed once per call and memoized,
+    on an explicit stack of open frames. The witness is of least size
+    and, of two such, the one lacking the least vertex where they differ,
+    so its complement is the lexicographically least largest minimal
+    cover; the comparison ignores the shared prefix, so it carries from
+    child to parent. Isolated vertices lie in every set and are taken up
+    front.
+
+    Raises ResourceLimitError as soon as one state has more sets than the
+    cap, the integer in EDGEIDEALS_MAX_MIS or else DEFAULT_MAX_MIS: that
+    happens exactly when the graph has more sets than the cap.
+    """
+    cap = resolve_cap("EDGEIDEALS_MAX_MIS", DEFAULT_MAX_MIS)
+    n = len(masks)
+    full = (1 << n) - 1
+    isolated = sum(1 << v for v, m in enumerate(masks) if not m)
+    p = full & ~isolated
+    if not p:
+        return 1, n, full
+    comp = [full & ~m & ~(1 << v) for v, m in enumerate(masks)]
+    memo = {}
+    stack = []
+    # The open frame is in the f* locals: its memo key X << n | P, the P
+    # and X its next child is cut from, the branch vertices left and its
+    # summary so far. The stack holds the frames below it, each with the
+    # bit of the child it waits on. A pivot u has the most vertices of P
+    # outside N[u]; all of P only when u is in X with no neighbour in P.
+    fkey, fp, fx = p, p, 0
+    fcand = p & ~comp[max(_bits(p), key=lambda v: (comp[v] & p).bit_count())]
+    fcount, fsize, fwit = 0, n + 1, 0
+    while True:
+        if fcand:
+            low = fcand & -fcand
+            fcand ^= low
+            c = comp[low.bit_length() - 1]
+            p, x = fp & c, fx & c
+            fp ^= low
+            fx |= low
+            if not p:
+                if x:
+                    continue
+                count, size, wit = 1, 0, 0
+            else:
+                key = x << n | p
+                r = memo.get(key)
+                if r is None:
+                    in_p = p.bit_count()
+                    pool = p | x
+                    best_out = -1
+                    while pool:
+                        bit = pool & -pool
+                        v = bit.bit_length() - 1
+                        out = (comp[v] & p).bit_count()
+                        if out > best_out:
+                            best, best_out = v, out
+                            if out == in_p:
+                                break
+                        pool ^= bit
+                    if best_out == in_p:
+                        memo[key] = (0, 0, 0)
+                        continue
+                    stack.append((fkey, fp, fx, fcand, fcount, fsize, fwit, low))
+                    fkey, fp, fx, fcand = key, p, x, p & ~comp[best]
+                    fcount, fsize, fwit = 0, n + 1, 0
+                    continue
+                count, size, wit = r
+                if not count:
+                    continue
+        else:
+            memo[fkey] = count, size, wit = fcount, fsize, fwit
+            if not stack:
+                return count, size + isolated.bit_count(), wit | isolated
+            fkey, fp, fx, fcand, fcount, fsize, fwit, low = stack.pop()
+            if not count:
+                continue
+        # one more child, of bit low: its sets add low to the child's
+        fcount += count
+        if fcount > cap:
+            raise ResourceLimitError(
+                f"maximal independent set search passed {cap} sets; "
+                f"set EDGEIDEALS_MAX_MIS to override")
+        size += 1
+        wit |= low
+        if size < fsize:
+            fsize, fwit = size, wit
+        elif size == fsize:
+            d = wit ^ fwit
+            if not wit & d & -d:
+                fwit = wit
+
+
+def _independence_number(masks: Sequence[int]) -> int:
+    """Size of a largest independent set of the graph with adjacency masks
+    `masks`: a depth-first branch and bound on an explicit stack, MCQ
+    (Tomita and Seki, DMTCS 2003) run on the complement graph.
+
+    A node holds an independent set R and its candidates P. P is split
+    greedily into cliques of the graph, each grown from its least vertex;
+    an independent set takes at most one vertex of a clique. The vertex v
+    of the k-th clique branches on R + v with the candidates ordered
+    before v and not adjacent to it, which bounds that branch by
+    |R| + k; a branch that cannot beat the best size found is dropped.
+    Isolated vertices lie in every largest set and are counted up front.
+
+    Raises ResourceLimitError once the search has expanded more nodes
+    than the cap, the integer in EDGEIDEALS_MAX_MIS or else DEFAULT_MAX_MIS.
+    """
+    cap = resolve_cap("EDGEIDEALS_MAX_MIS", DEFAULT_MAX_MIS)
+    left = cap
+    full = (1 << len(masks)) - 1
+    comp = [full & ~m & ~(1 << v) for v, m in enumerate(masks)]
+    isolated = sum(1 << v for v, m in enumerate(masks) if not m)
+    best = 0
+    stack = [(1, 0, full & ~isolated)]
+    while stack:
+        bound, size, p = stack.pop()
+        if bound <= best:
+            continue
+        left -= 1
+        if left < 0:
+            raise ResourceLimitError(
+                f"independent set search passed {cap} nodes; "
+                f"set EDGEIDEALS_MAX_MIS to override")
+        if size > best:
+            best = size
+        bound = size
+        before = 0
+        while p:
+            bound += 1
+            avail = p
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail &= masks[v]
+                p ^= low
+                if bound > best:
+                    stack.append((bound, size + 1, before & comp[v]))
+                before |= low
+    return best + isolated.bit_count()
+
+
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All maximal independent sets, sorted lexicographically."""
     return sorted(_bits(m) for m in _mis_masks(g.masks))
@@ -109,30 +265,19 @@ def cover_report(g: Graph) -> CoverReport:
     are compared as masks: the larger one wins, and of two of the same size
     the one holding the least vertex where they differ, which is the
     lexicographically smaller sorted tuple."""
-    full = (1 << g.n) - 1
-    best = count = 0
-    best_size = -1
-    for mis in _mis_masks(g.masks):
-        count += 1
-        cover = full & ~mis
-        size = cover.bit_count()
-        d = cover ^ best
-        if size > best_size or size == best_size and cover & d & -d:
-            best, best_size = cover, size
-    witness_cover = _bits(best)
-    witness_independent = _bits(full & ~best)
+    count, size, wit = _mis_summary(g.masks)
     return CoverReport(
-        tau_max=len(witness_cover),
-        i_min=g.n - len(witness_cover),
-        witness_cover=witness_cover,
-        witness_independent=witness_independent,
+        tau_max=g.n - size,
+        i_min=size,
+        witness_cover=_bits((1 << g.n) - 1 & ~wit),
+        witness_independent=_bits(wit),
         num_minimal_covers=count,
     )
 
 
 def tau_max(g: Graph) -> int:
     """Size of a maximum minimal vertex cover."""
-    return max(g.n - m.bit_count() for m in _mis_masks(g.masks))
+    return g.n - _mis_summary(g.masks)[1]
 
 
 def is_vertex_cover(g: Graph, vertices) -> bool:
@@ -253,4 +398,4 @@ def induced_matching_number(g: Graph) -> int:
         near[u] |= inc[v]
         near[v] |= inc[u]
     conflict = [(near[u] | near[v]) & ~(1 << i) for i, (u, v) in enumerate(edges)]
-    return max(s.bit_count() for s in _mis_masks(conflict))
+    return _independence_number(conflict)

@@ -98,6 +98,13 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_decimal(s: str) -> bool:
+    """Whether s is a non-empty run of the ASCII digits 0-9. str.isdigit
+    alone also accepts digits int() rejects, such as superscripts, and
+    digits of other scripts, which int() reads as numbers."""
+    return s.isascii() and s.isdigit()
+
+
 def from_edge_list(text: str) -> Graph:
     lines = text.splitlines()
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
@@ -105,7 +112,7 @@ def from_edge_list(text: str) -> Graph:
         raise GraphParseError("empty edge-list input", position=1)
     lineno, head = rows[0]
     parts = head.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(_is_decimal(p) for p in parts):
         raise GraphParseError("expected header 'n m'", position=lineno)
     n, m = int(parts[0]), int(parts[1])
     if len(rows) - 1 != m:
@@ -116,7 +123,8 @@ def from_edge_list(text: str) -> Graph:
     edges = []
     for lineno, row in rows[1:]:
         parts = row.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != 2 or not all(_is_decimal(p.removeprefix("-"))
+                                      for p in parts):
             raise GraphParseError("expected edge line 'u v'", position=lineno)
         u, v = int(parts[0]), int(parts[1])
         if not (0 <= u < n and 0 <= v < n):
@@ -133,10 +141,9 @@ def from_edge_list(text: str) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse either format. Lines starting with a digit are edge-list input
-    (digits never occur in graph6 bytes); everything else is graph6."""
-    stripped = text.lstrip()
-    if stripped[:1].isdigit():
+    """Parse either format. Lines starting with an ASCII digit are edge-list
+    input (digits never occur in graph6 bytes); everything else is graph6."""
+    if _is_decimal(text.lstrip()[:1]):
         return from_edge_list(text)
     return from_graph6(text)
 

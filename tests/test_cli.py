@@ -183,8 +183,8 @@ def test_mis_cap_exits_3(capsys, monkeypatch):
     assert code == 3 and out == "" and "Traceback" not in err
     assert err.startswith("resource limit:") and len(err.splitlines()) == 1
     assert "EDGEIDEALS_MAX_MIS" in err
-    # C_12 has 29 maximal independent sets; the conflict graph of its edges,
-    # searched for the induced matching number, has 31
+    # C_12 has 29 maximal independent sets; the branch and bound for its
+    # induced matching number expands 5 nodes
     monkeypatch.setenv("EDGEIDEALS_MAX_MIS", "31")
     code, out, _ = run(capsys, "invariants", "--family", "c:12")
     assert code == 0 and json.loads(out)["num_minimal_covers"] == 29
@@ -244,6 +244,17 @@ def test_non_utf8_graph_file_is_parse_error(capsys, tmp_path):
     path = tmp_path / "bad.g6"
     path.write_bytes(b"\xff\xfe\x80")
     code, out, err = run(capsys, "betti", "--graph", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("parse error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "\u00b2 0\n",          # superscript 2
+    "2 1\n0 \u00b9\n",     # superscript 1 in an edge line
+    "\u0663 0\n",          # Arabic-Indic 3, once read as n = 3
+])
+def test_non_ascii_digits_are_parse_errors(text):
+    code, out, err = run_with_stdin(["invariants", "--graph", "-"], text)
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("parse error:") and len(err.splitlines()) == 1
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeideals.atlas import enumerate_graphs, random_graph
-from edgeideals.covers import (_maximum_matching, cover_report,
+from edgeideals.covers import (_maximum_matching, _mis_summary, cover_report,
                                enumerate_minimal_covers,
                                induced_matching_number,
                                is_minimal_vertex_cover, is_vertex_cover,
@@ -13,8 +13,9 @@ from edgeideals.errors import ResourceLimitError
 from edgeideals.families import (complete_graph, complete_bipartite,
                                  cycle_graph, extremal_pendant_clique,
                                  path_graph, pendant_clique, two_k2)
-from edgeideals.gio import from_graph6
-from edgeideals.graphs import Graph, is_gap_free, isolated_vertices
+from edgeideals.gio import from_graph6, to_graph6
+from edgeideals.graphs import (Graph, is_connected, is_gap_free,
+                               isolated_vertices)
 from oracles import (induced_matching_branching, induced_matching_bruteforce,
                      matching_branching, matching_bruteforce,
                      minimal_covers_bruteforce)
@@ -105,6 +106,31 @@ def test_mis_are_complements_of_minimal_covers(small_corpus):
         assert all(iso <= set(s) for s in mis)
 
 
+def summary_by_listing(g):
+    """(count, least size, witness mask) of the maximal independent sets,
+    read off the sorted list: the witness is the least-size set whose
+    complement, as a sorted tuple, is least."""
+    sets = maximal_independent_sets(g)
+    size = min(map(len, sets))
+    witness = min((s for s in sets if len(s) == size),
+                  key=lambda s: tuple(v for v in range(g.n) if v not in s))
+    return len(sets), size, sum(1 << v for v in witness)
+
+
+def test_mis_summary_equals_listing_every_graph_to_n7():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert _mis_summary(g.masks) == summary_by_listing(g), g.edges
+
+
+def test_mis_summary_equals_listing_random():
+    corpus = [random_graph(n, p, seed) for n in range(8, 25)
+              for p in (0.1, 0.2, 0.35, 0.6) for seed in range(3)]
+    assert sum(not is_connected(g) for g in corpus) >= 20
+    for g in corpus:
+        assert _mis_summary(g.masks) == summary_by_listing(g), to_graph6(g)
+
+
 def test_matching_numbers_known():
     assert matching_number(two_k2()) == 2
     assert matching_number(cycle_graph(5)) == 2
@@ -188,10 +214,20 @@ def test_matching_scales_without_recursion():
 def test_induced_matching_of_long_paths_and_cycles():
     # path_graph(m) has m edges: every third one, from the first, is an
     # induced matching; a cycle of length k fits floor(k / 3)
-    for m in range(1, 41):
+    for m in range(1, 301):
         assert induced_matching_number(path_graph(m)) == -(-m // 3), m
-    for k in range(3, 37):
+    for k in range(3, 301):
         assert induced_matching_number(cycle_graph(k)) == k // 3, k
+
+
+def test_long_path_induced_matching_past_the_cover_cap():
+    # the clique bound closes the search on the 60 edges of path_graph(60)
+    # at once, while its maximal independent sets are far more than the
+    # default cap allows
+    p60 = path_graph(60)
+    assert induced_matching_number(p60) == 20
+    with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_MIS"):
+        cover_report(p60)
 
 
 def test_mis_search_cap_from_environment(monkeypatch):
@@ -205,7 +241,8 @@ def test_mis_search_cap_from_environment(monkeypatch):
               enumerate_minimal_covers):
         with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_MIS"):
             f(c12)
-    # the conflict graph of the 12 edges of C_12 has 31
+    # for the induced matching number the cap counts the nodes of the
+    # branch and bound on the conflict graph of the 12 edges: it expands 5
     monkeypatch.setenv("EDGEIDEALS_MAX_MIS", "1")
     with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_MIS"):
         induced_matching_number(c12)

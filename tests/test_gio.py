@@ -64,6 +64,10 @@ def test_edge_list_roundtrip():
     ("2 1\n1 1", 2),          # loop
     ("2 2\n0 1\n1 0", 3),     # duplicate edge
     ("2 2\n0 1", 1),          # wrong edge count
+    ("\u00b2 0", 1),           # superscript 2: a digit to isdigit, not to int
+    ("\u0663 0", 1),           # Arabic-Indic 3: int() would read it as 3
+    ("2 1\n0 \u00b9", 2),      # superscript 1
+    ("4 1\n--3 0", 2),        # two minus signs
 ])
 def test_edge_list_errors_carry_positions(text, pos):
     with pytest.raises(GraphParseError) as err:
