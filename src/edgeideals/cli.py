@@ -10,6 +10,15 @@ search).
 builds the argument parser on its first call and reuses it after that.
 A parse never changes the parser, so each call prints and returns what
 it would in a fresh process.
+
+Each subcommand takes only the flags it reads; any other flag is a usage
+error. `invariants` and `betti` read one of --graph and --family, and the
+verify harnesses take:
+
+    verify bound --n N (--exhaustive | --samples K) [--seed S]
+    verify classification --n N
+    verify spectrum --n N [--char C]
+    verify pdr-spec --n N [--char C] [--format csv|json]
 """
 
 from __future__ import annotations
@@ -38,21 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(args) -> graphs.Graph:
-    if getattr(args, "family", None):
+    if args.family is not None:
         return families.build_family(families.parse_family(args.family))
-    path = getattr(args, "graph", None)
-    if not path:
-        raise ParameterRangeError(
-            "provide a graph via --graph FILE|- or --family SPEC")
-    if path == "-":
+    if args.graph == "-":
         return gio.parse_graph(sys.stdin.read())
     # undecodable bytes reach the parser as on stdin, which reports them
-    with open(path, errors="surrogateescape") as fh:
+    with open(args.graph, errors="surrogateescape") as fh:
         return gio.parse_graph(fh.read())
-
-
-def _field(args) -> homology.FieldSpec:
-    return homology.FieldSpec(args.char)
 
 
 def _cmd_invariants(args) -> int:
@@ -84,7 +85,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_betti(args) -> int:
     g = _read_graph(args)
-    table = betti.betti_table(g, _field(args))
+    table = betti.betti_table(g, homology.FieldSpec(args.char))
     if args.format == "ascii":
         print(betti.render_betti_ascii(table))
     else:
@@ -105,54 +106,52 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    bad = False
-    if args.what == "bound":
-        if not args.exhaustive and args.samples is None:
-            raise ParameterRangeError(
-                "verify bound needs --exhaustive or --samples K --seed S")
-        if args.samples is not None and args.seed is None:
-            raise ParameterRangeError(
-                "sampled mode requires --seed (reproducibility first)")
-        reports = atlas.verify_bound(args.n, exhaustive=args.exhaustive,
-                                     samples=args.samples, seed=args.seed)
-        for rep in reports:
-            print(rep.json_line())
-            bad |= bool(rep.violations)
-    elif args.what == "classification":
-        rep = atlas.verify_classification(args.n)
+def _cmd_verify_bound(args) -> int:
+    reports = atlas.verify_bound(args.n, exhaustive=args.exhaustive,
+                                 samples=args.samples, seed=args.seed)
+    for rep in reports:
         print(rep.json_line())
-        bad = bool(rep.mismatches)
-    elif args.what == "spectrum":
-        checks = atlas.verify_spectrum(args.n, _field(args))
-        for check in checks:
-            print(check.json_line())
-            bad |= not check.ok
-    else:  # pdr-spec
-        rep = atlas.pdr_spectrum(args.n, _field(args))
-        row_ok = rep.row(1) == rep.expected_r1_row()
-        conjecture = rep.conjecture_violations()
-        if args.format == "json":
-            print(json.dumps({
-                "n": rep.n, "char": rep.characteristic,
-                "classes_visited": rep.classes_visited,
-                "certified": rep.certified,
-                "points": [{"p": pt.p, "r": pt.r, "witness": pt.graph6()}
-                           for pt in rep.points],
-                "r1_row_ok": row_ok,
-                "conjecture_violations": conjecture,
-            }))
-        else:
-            print("n,p,r,witness_graph6")
-            for line in rep.csv_lines():
-                print(line)
-        if not row_ok:
-            print(f"r=1 row mismatch: {sorted(rep.row(1))} != "
-                  f"{sorted(rep.expected_r1_row())}", file=sys.stderr)
-        if conjecture:
-            print(f"conjecture violations: {conjecture}", file=sys.stderr)
-        bad = not row_ok
+    bad = any(rep.violations for rep in reports)
     return EXIT_COUNTEREXAMPLE if bad else EXIT_OK
+
+
+def _cmd_verify_classification(args) -> int:
+    rep = atlas.verify_classification(args.n)
+    print(rep.json_line())
+    return EXIT_COUNTEREXAMPLE if rep.mismatches else EXIT_OK
+
+
+def _cmd_verify_spectrum(args) -> int:
+    checks = atlas.verify_spectrum(args.n, homology.FieldSpec(args.char))
+    for check in checks:
+        print(check.json_line())
+    return EXIT_OK if all(check.ok for check in checks) else EXIT_COUNTEREXAMPLE
+
+
+def _cmd_verify_pdr_spec(args) -> int:
+    rep = atlas.pdr_spectrum(args.n, homology.FieldSpec(args.char))
+    row_ok = rep.row(1) == rep.expected_r1_row()
+    conjecture = rep.conjecture_violations()
+    if args.format == "json":
+        print(json.dumps({
+            "n": rep.n, "char": rep.characteristic,
+            "classes_visited": rep.classes_visited,
+            "certified": rep.certified,
+            "points": [{"p": pt.p, "r": pt.r, "witness": pt.graph6()}
+                       for pt in rep.points],
+            "r1_row_ok": row_ok,
+            "conjecture_violations": conjecture,
+        }))
+    else:
+        print("n,p,r,witness_graph6")
+        for line in rep.csv_lines():
+            print(line)
+    if not row_ok:
+        print(f"r=1 row mismatch: {sorted(rep.row(1))} != "
+              f"{sorted(rep.expected_r1_row())}", file=sys.stderr)
+    if conjecture:
+        print(f"conjecture violations: {conjecture}", file=sys.stderr)
+    return EXIT_OK if row_ok else EXIT_COUNTEREXAMPLE
 
 
 def build_parser() -> _Parser:
@@ -160,10 +159,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_source(p):
-        p.add_argument("--graph", metavar="FILE",
-                       help="graph6 or edge-list input; '-' for stdin")
-        p.add_argument("--family", metavar="SPEC",
-                       help="family spec such as c4, hs:5, kb:3,3, spectrum:10,5")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--graph", metavar="FILE",
+                            help="graph6 or edge-list input; '-' for stdin")
+        source.add_argument("--family", metavar="SPEC", help="family spec "
+                            "such as c4, hs:5, kb:3,3, spectrum:10,5")
 
     p = sub.add_parser("invariants", help="combinatorial invariants of one graph")
     add_graph_source(p)
@@ -189,17 +189,26 @@ def build_parser() -> _Parser:
                    default="all")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("verify", help="run a theorem-verification harness")
-    p.add_argument("what", choices=("bound", "classification", "spectrum",
-                                    "pdr-spec"))
-    p.add_argument("--n", type=int, required=True,
-                   help="n (classification, pdr-spec) or maximum n (bound, spectrum)")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    verify = sub.add_parser("verify", help="run a theorem-verification harness")
+    harness = verify.add_subparsers(dest="harness", required=True)
+
+    def add_harness(name, func, n_help):
+        p = harness.add_parser(name)
+        p.add_argument("--n", type=int, required=True, help=n_help)
+        p.set_defaults(func=func)
+        return p
+
+    p = add_harness("bound", _cmd_verify_bound, "maximum n")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument("--samples", type=int, metavar="K")
+    p.add_argument("--seed", type=int, metavar="S")
+    add_harness("classification", _cmd_verify_classification, "n")
+    p = add_harness("spectrum", _cmd_verify_spectrum, "maximum n")
+    p.add_argument("--char", type=int, default=2)
+    p = add_harness("pdr-spec", _cmd_verify_pdr_spec, "n")
     p.add_argument("--char", type=int, default=2)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.set_defaults(func=_cmd_verify)
     return parser
 
 

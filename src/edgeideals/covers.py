@@ -11,7 +11,8 @@ bound (MCQ, Tomita and Seki, DMTCS 2003). Desk scale: roughly n <= 40 for
 the structured families, n <= 25 in general. Each search raises
 ResourceLimitError past EDGEIDEALS_MAX_MIS (default DEFAULT_MAX_MIS, a
 million): the covers' searches when the graph has more maximal independent
-sets, the induced matching search when it expands more nodes.
+sets, before they start when an induced matching of k edges shows 2^k of
+them, and the induced matching search when it expands more nodes.
 The matching number comes from Edmonds' blossom algorithm in O(n^3) time
 and O(n) memory, iterative, so it is exact at any n.
 """
@@ -48,6 +49,42 @@ class CoverReport:
     num_minimal_covers: int
 
 
+def _too_many_sets(cap: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"maximal independent set search passed {cap} sets; "
+        f"set EDGEIDEALS_MAX_MIS to override")
+
+
+def _mis_cap(masks: Sequence[int]) -> int:
+    """The cap on the maximal independent sets of the graph with adjacency
+    masks `masks`, the integer in EDGEIDEALS_MAX_MIS or else
+    DEFAULT_MAX_MIS, checked up front against a greedy induced matching.
+
+    One end of each of k edges of an induced matching is an independent
+    set, and two of the 2^k choices extend to different maximal independent
+    sets (for some matched uv one holds u, the other v), so
+    ResourceLimitError is raised at once when k >= 1 and 2^k > cap. The
+    matching is greedy: an edge uv of free vertices, after which no vertex
+    of N[u] | N[v] is free; at most n mask steps in all. As k <= n/2 it
+    cannot pass the cap when n < 2 * cap.bit_length(), and is skipped.
+    """
+    cap = resolve_cap("EDGEIDEALS_MAX_MIS", DEFAULT_MAX_MIS)
+    if len(masks) >= 2 * cap.bit_length():
+        free = (1 << len(masks)) - 1
+        k = 0
+        while free:
+            low = free & -free
+            u = low.bit_length() - 1
+            free ^= low
+            near = masks[u] & free
+            if near:
+                free &= ~(masks[u] | masks[(near & -near).bit_length() - 1])
+                k += 1
+                if 1 << k > cap:
+                    raise _too_many_sets(cap)
+    return cap
+
+
 def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
     """Maximal independent sets of the graph with adjacency masks `masks`,
     as bitmasks, in no particular order, for the two listing APIs.
@@ -56,10 +93,9 @@ def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
     independent sets, on an explicit stack of (r, p, x) frames. Isolated
     vertices lie in every maximal independent set, so they start in r.
 
-    Raises ResourceLimitError when there are more sets than the cap, the
-    integer in EDGEIDEALS_MAX_MIS or else DEFAULT_MAX_MIS.
+    Raises ResourceLimitError when there are more sets than `_mis_cap`.
     """
-    cap = resolve_cap("EDGEIDEALS_MAX_MIS", DEFAULT_MAX_MIS)
+    cap = _mis_cap(masks)
     left = cap
     full = (1 << len(masks)) - 1
     comp = [full & ~m & ~(1 << v) for v, m in enumerate(masks)]
@@ -70,9 +106,7 @@ def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
         if not p and not x:
             left -= 1
             if left < 0:
-                raise ResourceLimitError(
-                    f"maximal independent set search passed {cap} sets; "
-                    f"set EDGEIDEALS_MAX_MIS to override")
+                raise _too_many_sets(cap)
             yield r
             continue
         pool = p | x
@@ -113,11 +147,12 @@ def _mis_summary(masks: Sequence[int]) -> tuple[int, int, int]:
     child to parent. Isolated vertices lie in every set and are taken up
     front.
 
-    Raises ResourceLimitError as soon as one state has more sets than the
-    cap, the integer in EDGEIDEALS_MAX_MIS or else DEFAULT_MAX_MIS: that
-    happens exactly when the graph has more sets than the cap.
+    Raises ResourceLimitError, before the search when `_mis_cap` finds an
+    induced matching that proves more sets than the cap, else as soon as
+    one state has more sets than the cap: either happens exactly when the
+    graph has more sets than the cap.
     """
-    cap = resolve_cap("EDGEIDEALS_MAX_MIS", DEFAULT_MAX_MIS)
+    cap = _mis_cap(masks)
     n = len(masks)
     full = (1 << n) - 1
     isolated = sum(1 << v for v, m in enumerate(masks) if not m)
@@ -183,9 +218,7 @@ def _mis_summary(masks: Sequence[int]) -> tuple[int, int, int]:
         # one more child, of bit low: its sets add low to the child's
         fcount += count
         if fcount > cap:
-            raise ResourceLimitError(
-                f"maximal independent set search passed {cap} sets; "
-                f"set EDGEIDEALS_MAX_MIS to override")
+            raise _too_many_sets(cap)
         size += 1
         wit |= low
         if size < fsize:
@@ -382,10 +415,10 @@ def matching_number(g: Graph) -> int:
 
 def induced_matching_number(g: Graph) -> int:
     """Largest matching whose union of endpoints induces no other edge: the
-    largest set `_mis_masks` yields on the conflict graph of E(g) (Cameron
-    1989). Edge uv conflicts with every edge at a vertex of N[u] | N[v],
-    the OR of the incident-edge masks `inc[w]` over the neighbours w of u
-    and of v."""
+    independence number of the conflict graph of E(g) (Cameron 1989), from
+    `_independence_number`'s branch and bound. Edge uv conflicts with every
+    edge at a vertex of N[u] | N[v], the OR of the incident-edge masks
+    `inc[w]` over the neighbours w of u and of v."""
     edges = g.edges
     if not edges:
         return 0

@@ -10,6 +10,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import spectrum
 from .errors import ParameterRangeError
 from .graphs import Graph
 
@@ -89,10 +90,13 @@ def extremal_pendant_clique(n: int) -> Graph:
     return Graph(n, edges)
 
 
-# kind -> number of parameters
-_ARITY = {
-    "hs": 1, "gn": 1, "k": 1, "kb": 2, "c": 1, "p": 1, "2k2": 0,
-    "spectrum": 2, "pdr": 3,
+# kind -> (number of parameters, builder)
+_FAMILIES = {
+    "hs": (1, pendant_clique), "gn": (1, extremal_pendant_clique),
+    "k": (1, complete_graph), "kb": (2, complete_bipartite),
+    "c": (1, cycle_graph), "p": (1, path_graph), "2k2": (0, two_k2),
+    "spectrum": (2, spectrum.build_spectrum_graph),
+    "pdr": (3, spectrum.build_pdr_graph),
 }
 
 
@@ -105,11 +109,12 @@ class FamilySpec:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
+        if self.kind not in _FAMILIES:
             raise ParameterRangeError(f"unknown family kind {self.kind!r}")
-        if len(self.params) != _ARITY[self.kind]:
+        arity = _FAMILIES[self.kind][0]
+        if len(self.params) != arity:
             raise ParameterRangeError(
-                f"family {self.kind!r} takes {_ARITY[self.kind]} "
+                f"family {self.kind!r} takes {arity} "
                 f"parameter(s), got {len(self.params)}")
 
     def __str__(self) -> str:
@@ -118,25 +123,7 @@ class FamilySpec:
 
 
 def build_family(spec: FamilySpec) -> Graph:
-    kind, params = spec.kind, spec.params
-    if kind == "hs":
-        return pendant_clique(*params)
-    if kind == "gn":
-        return extremal_pendant_clique(*params)
-    if kind == "k":
-        return complete_graph(*params)
-    if kind == "kb":
-        return complete_bipartite(*params)
-    if kind == "c":
-        return cycle_graph(*params)
-    if kind == "p":
-        return path_graph(*params)
-    if kind == "2k2":
-        return two_k2()
-    from . import spectrum  # imported here: spectrum imports this module
-    if kind == "spectrum":
-        return spectrum.build_spectrum_graph(*params)
-    return spectrum.build_pdr_graph(*params)
+    return _FAMILIES[spec.kind][1](*spec.params)
 
 
 _FAMILY_RE = re.compile(r"^([a-z2][a-z0-9]*?)[ :]?(\d+(?:[ ,]\d+)*)?$")

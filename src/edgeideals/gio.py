@@ -10,7 +10,7 @@ The edge-list format is an 'n m' header line followed by m lines 'u v'.
 
 from __future__ import annotations
 
-from .errors import GraphParseError
+from .errors import GraphParseError, ParameterRangeError
 from .graphs import Graph
 
 
@@ -153,4 +153,4 @@ def emit_graph(g: Graph, fmt: str = "graph6") -> str:
         return to_graph6(g)
     if fmt == "edge-list":
         return to_edge_list(g)
-    raise GraphParseError(f"unknown graph format {fmt!r}")
+    raise ParameterRangeError(f"unknown graph format {fmt!r}")

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterRangeError
-from .families import complete_bipartite, complete_graph
-from .graphs import Graph, disjoint_union
+from .graphs import Graph
 
 
 def ceil_sqrt(x: int) -> int:
@@ -101,10 +100,10 @@ def build_spectrum_graph(n: int, p: int) -> Graph:
     if n < 2:
         raise ParameterRangeError(f"need n >= 2, got {n}")
     if p == n - 1:
-        return complete_bipartite(1, n - 1)
+        return Graph(n, [(0, v) for v in range(1, n)])
     plan = plan_spectrum(n, p)
     s, t = plan.clique_size, plan.group_size
-    edges = list(complete_graph(s).edges)
+    edges = [(i, j) for i in range(s) for j in range(i + 1, s)]
     nxt = s
     for i in range(s):
         for _ in range(t - 1):
@@ -130,12 +129,12 @@ def pdr_range(n: int, r: int) -> tuple[int, int]:
 
 def build_pdr_graph(n: int, p: int, r: int) -> Graph:
     """Graph on n vertices with projective dimension p and regularity r:
-    the (n - 2(r-1), p - (r-1)) spectrum graph plus r - 1 disjoint edges."""
+    the (n - 2(r-1), p - (r-1)) spectrum graph plus r - 1 disjoint edges,
+    labeled as consecutive pairs after it."""
     low, high = pdr_range(n, r)
     if not low <= p <= high:
         raise ParameterRangeError(
             f"p={p} outside the legal interval [{low}, {high}] for n={n}, r={r}")
-    g = build_spectrum_graph(n - 2 * (r - 1), p - (r - 1))
-    for _ in range(r - 1):
-        g = disjoint_union(g, complete_graph(2))
-    return g
+    m = n - 2 * (r - 1)
+    g = build_spectrum_graph(m, p - (r - 1))
+    return Graph(n, g.edges + tuple((v, v + 1) for v in range(m, n, 2)))

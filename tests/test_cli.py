@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -329,3 +330,43 @@ def test_successive_main_calls_share_no_state():
     assert run_with_stdin(argv, to_graph6(cycle_graph(4)) + "\n") == c4
     # the public builder still hands out a fresh parser on every call
     assert build_parser() is not build_parser()
+
+
+# Each verify harness declares only the flags it reads: a flag another
+# harness reads, or a second graph source, is a usage error.
+@pytest.mark.parametrize("argv", [
+    ("verify", "bound", "--n", "4", "--exhaustive", "--char", "3"),
+    ("verify", "bound", "--n", "4", "--exhaustive", "--format", "csv"),
+    ("verify", "classification", "--n", "4", "--exhaustive"),
+    ("verify", "classification", "--n", "4", "--samples", "5"),
+    ("verify", "classification", "--n", "4", "--seed", "1"),
+    ("verify", "classification", "--n", "4", "--char", "3"),
+    ("verify", "classification", "--n", "4", "--format", "csv"),
+    ("verify", "spectrum", "--n", "4", "--exhaustive"),
+    ("verify", "spectrum", "--n", "4", "--samples", "5"),
+    ("verify", "spectrum", "--n", "4", "--seed", "1"),
+    ("verify", "spectrum", "--n", "4", "--format", "csv"),
+    ("verify", "pdr-spec", "--n", "4", "--exhaustive"),
+    ("verify", "pdr-spec", "--n", "4", "--samples", "5"),
+    ("verify", "pdr-spec", "--n", "4", "--seed", "1"),
+    ("verify", "bound", "--n", "4", "--exhaustive", "--samples", "5",
+     "--seed", "1"),
+    ("invariants", "--graph", "-", "--family", "c4"),
+    ("betti", "--family", "c4", "--graph", "-"),
+])
+def test_flag_a_command_does_not_read_is_usage_error(argv):
+    code, out, err = run_with_stdin(list(argv), to_graph6(cycle_graph(4)))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("harness, flags", [
+    ("bound", {"--n", "--exhaustive", "--samples", "--seed"}),
+    ("classification", {"--n"}),
+    ("spectrum", {"--n", "--char"}),
+    ("pdr-spec", {"--n", "--char", "--format"}),
+])
+def test_verify_harness_help_lists_its_flags(capsys, harness, flags):
+    code, out, _ = run(capsys, "verify", harness, "-h")
+    assert code == 0 and out.startswith(f"usage: edgeideals verify {harness}")
+    assert set(re.findall(r"--[a-z-]+", out)) == flags | {"--help"}

@@ -299,3 +299,31 @@ def test_maximum_matching_is_a_maximum_matching_of_g(g):
     ends = [x for e in pairs for x in e]
     assert len(set(ends)) == len(ends)
     assert len(pairs) == matching_number(g) == matching_branching(g)
+
+
+def test_cover_cap_raises_exactly_past_the_count(monkeypatch):
+    # the up-front induced matching check never raises below the count;
+    # with n <= 8 it runs for every cap below 16
+    graphs = [g for n in range(2, 9) for g in enumerate_graphs(n) if g.m]
+    counts = [cover_report(g).num_minimal_covers for g in graphs]
+    for cap in range(1, 41):
+        monkeypatch.setenv("EDGEIDEALS_MAX_MIS", str(cap))
+        for g, count in zip(graphs, counts):
+            try:
+                cover_report(g)
+                raised = False
+            except ResourceLimitError:
+                raised = True
+            assert raised == (count > cap), (to_graph6(g), cap, count)
+
+
+def test_cover_cap_fails_fast_on_long_paths_and_cycles():
+    # every third edge is an induced matching: 2^20 sets pass the default
+    # cap before any search; without the check path_graph(20000) ran for
+    # minutes
+    for g in (path_graph(20000), cycle_graph(3000)):
+        for f in (cover_report, tau_max, maximal_independent_sets):
+            with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_MIS"):
+                f(g)
+    # one edge of a star meets every other: the check passes it on
+    assert cover_report(complete_bipartite(1, 1499)).num_minimal_covers == 2

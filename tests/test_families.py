@@ -1,10 +1,11 @@
 import pytest
 
 from edgeideals.errors import ParameterRangeError
-from edgeideals.families import (FamilySpec, build_family, complete_bipartite,
-                                 complete_graph, cycle_graph,
-                                 extremal_pendant_clique, parse_family,
-                                 path_graph, pendant_clique, two_k2)
+from edgeideals.families import (_FAMILIES, FamilySpec, build_family,
+                                 complete_bipartite, complete_graph,
+                                 cycle_graph, extremal_pendant_clique,
+                                 parse_family, path_graph, pendant_clique,
+                                 two_k2)
 from edgeideals.graphs import Graph, isolated_vertices
 
 
@@ -115,3 +116,22 @@ def test_parse_family(text, expect):
 def test_parse_family_rejects(text):
     with pytest.raises(ParameterRangeError):
         parse_family(text)
+
+
+def test_family_table_kinds_are_the_parsed_kinds():
+    # every spec over short words and the table's own kinds, with 0..3
+    # parameters: parse_family yields exactly the kinds of the table
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+    words = set(alphabet) | {a + b for a in alphabet for b in alphabet}
+    words |= set(_FAMILIES) | {"star", "cycle", "path", "spectrumx", "2k3"}
+    parsed = set()
+    for word in words:
+        for arity in range(4):
+            text = word + (":" + ",".join(["3"] * arity) if arity else "")
+            try:
+                spec = parse_family(text)
+            except ParameterRangeError:
+                continue
+            assert len(spec.params) == _FAMILIES[spec.kind][0]
+            parsed.add(spec.kind)
+    assert parsed == set(_FAMILIES)

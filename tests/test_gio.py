@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeideals.errors import GraphParseError
+from edgeideals.errors import GraphParseError, ParameterRangeError
 from edgeideals.families import complete_graph, cycle_graph, pendant_clique
-from edgeideals.gio import (from_edge_list, from_graph6, parse_graph,
-                            to_edge_list, to_graph6)
+from edgeideals.gio import (emit_graph, from_edge_list, from_graph6,
+                            parse_graph, to_edge_list, to_graph6)
 from edgeideals.graphs import Graph
 from edgeideals.atlas import canonical_bits
 
@@ -93,3 +93,9 @@ def graphs(draw):
 def test_roundtrip_property(g):
     assert from_graph6(to_graph6(g)) == g
     assert from_edge_list(to_edge_list(g)) == g
+
+
+def test_emit_graph_unknown_format_is_usage_error():
+    # a format name is a parameter, not graph input
+    with pytest.raises(ParameterRangeError, match="unknown graph format"):
+        emit_graph(cycle_graph(4), "dot")
