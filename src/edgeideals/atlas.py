@@ -736,7 +736,9 @@ def verify_spectrum(n_max: int, field: FieldSpec = GF2
     """Build every legal (n, p) spectrum graph for n = 2..n_max and check
     tau_max = p, chordality and gap-freeness; for n up to the Betti cap in
     force (EDGEIDEALS_MAX_BETTI_N) also check (pd, reg) = (p, 1) through
-    the subset-homology engine."""
+    betti.pd_and_reg. The complement of each of these graphs is chordal,
+    so the pair is the closed form of pd_reg_bounds, with no subset
+    visited; `edgeideals betti` gives the Hochster sum's pair."""
     if n_max < 2:
         raise ParameterRangeError(
             f"verify_spectrum needs n_max >= 2, got {n_max}")
@@ -776,7 +778,9 @@ class PdrSpectrumReport:
     characteristic: int
     points: tuple[PdrPoint, ...]
     classes_visited: int
-    certified: int  # classes whose pair pd_reg_bounds pins, with no sum
+    # classes settled with no sum: pd_reg_bounds gives a point box, by the
+    # closed form at reg 1 or by bounds that meet
+    certified: int
 
     @property
     def pairs(self) -> set[tuple[int, int]]:
@@ -803,9 +807,10 @@ class PdrSpectrumReport:
 def pdr_spectrum(n: int, field: FieldSpec = GF2) -> PdrSpectrumReport:
     """Compute (pd, reg) for every isolate-free isomorphism class on n
     vertices; the witness kept per pair is the first class encountered in
-    enumeration order. A class whose bounds from betti.pd_reg_bounds meet
-    gets its pair from them, the same over every field; only the others
-    go through the Hochster sum. n is held to the cap of enumerate_graphs
+    enumeration order. Each pair comes from the path of betti.pd_and_reg:
+    a class whose box from betti.pd_reg_bounds is a point gets its pair
+    from it, the same over every field; only the others go through the
+    Hochster sum. n is held to the cap of enumerate_graphs
     (EDGEIDEALS_MAX_ENUM_N)."""
     if n < 2:
         raise ParameterRangeError(f"pdr_spectrum needs n >= 2, got {n}")
@@ -813,12 +818,8 @@ def pdr_spectrum(n: int, field: FieldSpec = GF2) -> PdrSpectrumReport:
     visited = certified = 0
     for g in enumerate_graphs(n, "no-isolated"):
         visited += 1
-        pd_lo, pd_hi, reg_lo, reg_hi = betti.pd_reg_bounds(g)
-        if pd_lo == pd_hi and reg_lo == reg_hi:
-            certified += 1
-            pr = pd_lo, reg_lo
-        else:
-            pr = betti.pd_and_reg(g, field)
+        pr, summed = betti._certified_pd_and_reg(g, field)
+        certified += not summed
         if pr not in found:
             found[pr] = CanonicalForm(n, canonical_bits(g.masks, n))
     points = tuple(PdrPoint(p, r, w) for (p, r), w in sorted(found.items()))

@@ -4,7 +4,8 @@ For a graph G on n vertices the table entry in homological degree i and
 internal degree j is the sum, over all j-subsets W of the vertices, of
 dim H~_{j-i-1} of the independence complex of G[W] over the chosen field.
 betti_table is the one place that sum is evaluated; pd and reg, the pair
-the cover bounds are about, are read off its table. Every W, component
+the cover bounds are about, come from pd_reg_bounds when its box is a
+point and are read off betti_table's table otherwise. Every W, component
 and folded piece is a vertex mask of G itself, so the sum walks submasks
 of each component mask the leaf split leaves, and the few complexes it
 builds are independence_complex(g, w), with no relabeling; one memo, keyed
@@ -64,6 +65,18 @@ not change any entry, over any field:
 
 pd_reg_bounds boxes pd and reg without visiting a subset, over every field:
 
+* reg = 1 in closed form: for G with an edge, reg(S/I(G)) = 1 exactly
+  when the complement G' of G is chordal, over every field (Froberg,
+  Banach Center Publ. 26, 1990). Then every nonzero beta_ij has
+  j - i = 1, so only H~_0 of Ind(G[W]), the clique complex of G'[W], is
+  left in the sum, and it is nonzero exactly when G'[W] is disconnected:
+      pd = max{|W| - 1 : G'[W] disconnected} = n - 1 - kappa(G'),
+  kappa the vertex connectivity, as G'[W] is disconnected exactly when
+  the other n - |W| vertices form a vertex cut of G'. A least vertex cut
+  is a minimal separator, and the minimal separators of a chordal graph
+  are read off a maximum cardinality search (Blair and Peyton, IMA Vol.
+  Math. Appl. 56, 1993), so one search on the masks of G' tests
+  chordality and gives kappa. Every other G with an edge has reg >= 2;
 * pd >= tau_max: pd(S/I) is at least bight(I), the largest height of a
   minimal prime, and the minimal primes of I(G) are the minimal vertex
   covers; reg >= the induced matching number (Katzman, J. Combin. Theory
@@ -76,11 +89,12 @@ pd_reg_bounds boxes pd and reg without visiting a subset, over every field:
   (Dao, Huneke and Schweig, J. Algebraic Combin. 38, 2013, Lemma 3.1).
   Recursing on both masks gives the upper bounds.
 
-When the bounds meet, the pair is pinned with no homology at all, so the
-same over every field. The reg recursion is a bound, not an identity:
-reg(G - N[x]) + 1 <= reg(G) fails in general, and the flag RP^2 graph
-JhW[X`LtKF? (reg 3 over GF(2), 2 over Q) has the box pd in [8, 9], reg in
-[2, 3], which holds both fields' pairs.
+When the complement is chordal or the bounds meet, the pair is pinned
+with no homology at all, so the same over every field. The reg recursion
+is a bound, not an identity: reg(G - N[x]) + 1 <= reg(G) fails in
+general, and the flag RP^2 graph JhW[X`LtKF? (reg 3 over GF(2), 2 over
+Q) has the box pd in [8, 9], reg in [2, 3], which holds both fields'
+pairs.
 
 dual_regularity gives the cover-ideal side used by dual_check: the same
 sum over the complex of non-covers (the Alexander dual of the independence
@@ -100,7 +114,8 @@ from math import comb
 
 from . import covers
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
-from .graphs import Graph, _bits, _components
+from .graphs import (Graph, _bits, _chordal_separator, _components,
+                     complement)
 from .homology import (GF2, FieldSpec, SimplicialComplex, homology_dims,
                        independence_complex)
 
@@ -386,27 +401,49 @@ def betti_table(g: Graph, field: FieldSpec = GF2) -> BettiTable:
                       entries=entries, pd=pd, reg=reg)
 
 
-def pd_and_reg(g: Graph, field: FieldSpec = GF2) -> tuple[int, int]:
-    """(projective dimension, regularity) of S/I(G), read off betti_table:
-    there is one subset sum, and pd and reg are the largest i and j - i
-    among its nonzero entries."""
+def _certified_pd_and_reg(g: Graph, field: FieldSpec
+                          ) -> tuple[tuple[int, int], bool]:
+    """((pd, reg), summed): the pair from pd_reg_bounds when its box is a
+    point, the same over every field, and else from betti_table over
+    field; summed says whether the subset sum ran."""
+    pd_lo, pd_hi, reg_lo, reg_hi = pd_reg_bounds(g)
+    if pd_lo == pd_hi and reg_lo == reg_hi:
+        return (pd_lo, reg_lo), False
     t = betti_table(g, field)
-    return t.pd, t.reg
+    return (t.pd, t.reg), True
+
+
+def pd_and_reg(g: Graph, field: FieldSpec = GF2) -> tuple[int, int]:
+    """(projective dimension, regularity) of S/I(G): the point box of
+    pd_reg_bounds when its bounds meet, with no subset visited, and else
+    the largest i and j - i among the nonzero entries of betti_table."""
+    return _certified_pd_and_reg(g, field)[0]
 
 
 def pd_reg_bounds(g: Graph) -> tuple[int, int, int, int]:
     """(pd_lo, pd_hi, reg_lo, reg_hi): exact bounds on pd and reg of S/I(G)
     over every field, with no subset visited (see the module docstring).
 
-    The lower bounds are tau_max and the induced matching number. The upper
-    bounds recurse on vertex masks of g, one memo per call: isolated
-    vertices are dropped, an edgeless mask gives (0, 0), and otherwise the
-    least vertex x of largest degree is the pivot, with
+    An edgeless g gives (0, 0, 0, 0). When the complement of g is chordal
+    (one maximum cardinality search on its masks), the box is the point
+    (n - 1 - kappa, n - 1 - kappa, 1, 1), kappa the size of a least
+    minimal separator of the complement. Otherwise reg >= 2 (Froberg),
+    and the lower bounds are tau_max and the larger of 2 and the induced
+    matching number. The upper bounds recurse on vertex masks of g, one
+    memo per call: isolated vertices are dropped, an edgeless mask gives
+    (0, 0), and otherwise the least vertex x of largest degree is the
+    pivot, with
     pd <= max(pd(G - N[x]) + deg x, pd(G - x) + 1) and
     reg <= max(reg(G - x), reg(G - N[x]) + 1). The cap is betti_table's,
     set by EDGEIDEALS_MAX_BETTI_N."""
     _check_cap(g.n, "pd_reg_bounds")
     masks = g.masks
+    if not any(masks):
+        return 0, 0, 0, 0
+    kappa = _chordal_separator(complement(g).masks)
+    if kappa is not None:
+        pd = g.n - 1 - kappa
+        return pd, pd, 1, 1
     memo: dict[int, tuple[int, int]] = {}
 
     def upper(w: int) -> tuple[int, int]:
@@ -423,7 +460,7 @@ def pd_reg_bounds(g: Graph) -> tuple[int, int, int, int]:
 
     pd_hi, reg_hi = upper((1 << g.n) - 1)
     return (covers.tau_max(g), pd_hi,
-            covers.induced_matching_number(g), reg_hi)
+            max(2, covers.induced_matching_number(g)), reg_hi)
 
 
 def proj_dim(g: Graph, field: FieldSpec = GF2) -> int:
@@ -485,7 +522,7 @@ def dual_check(g: Graph, field: FieldSpec = GF2) -> DualReport:
     agree, and both dominate the maximum minimal cover size)."""
     return DualReport(
         reg_dual=dual_regularity(g, field),
-        pd_primal=pd_and_reg(g, field)[0],
+        pd_primal=betti_table(g, field).pd,
         tau_max=covers.tau_max(g),
     )
 

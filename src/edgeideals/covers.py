@@ -157,7 +157,9 @@ def _mis_summary(masks: Sequence[int]) -> tuple[int, int, int]:
     full = (1 << n) - 1
     isolated = sum(1 << v for v, m in enumerate(masks) if not m)
     p = full & ~isolated
-    if not p:
+    if not p:  # one set, all of the vertices
+        if cap < 1:
+            raise _too_many_sets(cap)
         return 1, n, full
     comp = [full & ~m & ~(1 << v) for v, m in enumerate(masks)]
     memo = {}

@@ -10,15 +10,51 @@ The edge-list format is an 'n m' header line followed by m lines 'u v'.
 
 from __future__ import annotations
 
+import re
+
 from .errors import GraphParseError, ParameterRangeError
 from .graphs import Graph
 
 
-def _triangle_bits(g: Graph):
-    for j in range(1, g.n):
-        col = g.masks[j]
-        for i in range(j):
-            yield col >> i & 1
+# bytes in the graph6 range 63..126, '?' to '~'
+_OUT_OF_RANGE = re.compile(rb"[^?-~]")
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack6(bits: str) -> bytes:
+    """graph6 body bytes for a string of '0'/'1' bits: six bits a byte,
+    the last one padded with zeros, each byte offset by 63. The six bit
+    positions of a byte are taken as six strided slices, each read as one
+    int whose bytes are 0 or 1, so no step runs per bit."""
+    k = -(-len(bits) // 6)
+    bits = bits.ljust(6 * k, "0")
+    acc = int.from_bytes(b"?" * k, "big")
+    for r in range(6):
+        slot = bits[r::6].encode("ascii").translate(_BIT_VALUES)
+        acc += int.from_bytes(slot, "big") << (5 - r)
+    return acc.to_bytes(k, "big")
+
+
+def _unpack6(body: bytes) -> str:
+    """The '0'/'1' bits of graph6 body bytes, six a byte, inverse to
+    _pack6: bit r of every byte is one shift and mask of the body read as
+    one int, written to every sixth place at once."""
+    k = len(body)
+    value = int.from_bytes(body, "big") - int.from_bytes(b"?" * k, "big")
+    ones = int.from_bytes(b"\1" * k, "big")
+    out = bytearray(6 * k)
+    for r in range(6):
+        out[r::6] = (value >> (5 - r) & ones).to_bytes(k, "big")
+    return out.translate(_BIT_DIGITS).decode("ascii")
+
+
+def _size_field(chunk: bytes) -> int:
+    """n from the six-bit digits of a long graph6 size field."""
+    n = 0
+    for b in chunk:
+        n = n << 6 | b - 63
+    return n
 
 
 def to_graph6(g: Graph) -> str:
@@ -31,18 +67,11 @@ def to_graph6(g: Graph) -> str:
         head = [126, 126] + [(n >> s & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
     else:
         raise GraphParseError(f"graph6 cannot encode n={n}")
-    out = bytearray(head)
-    acc = 0
-    nbits = 0
-    for bit in _triangle_bits(g):
-        acc = acc << 1 | bit
-        nbits += 1
-        if nbits == 6:
-            out.append(acc + 63)
-            acc = nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    # column j holds x_0j .. x_(j-1)j, least row first: the low j bits of
+    # masks[j], written out and reversed
+    bits = "".join(format(g.masks[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                   for j in range(1, n))
+    return (bytes(head) + _pack6(bits)).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
@@ -56,40 +85,43 @@ def from_graph6(text: str) -> Graph:
     except UnicodeEncodeError as exc:
         raise GraphParseError("non-ASCII byte in graph6 input",
                               position=exc.start) from None
-    for pos, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise GraphParseError(f"byte {b} outside graph6 range", position=pos)
-    vals = [b - 63 for b in data]
-    if vals[0] < 63:
-        n, body = vals[0], vals[1:]
-    elif len(vals) >= 2 and vals[1] < 63:
-        if len(vals) < 4:
+    if bad := _OUT_OF_RANGE.search(data):
+        raise GraphParseError(f"byte {data[bad.start()]} outside graph6 range",
+                              position=bad.start())
+    if data[0] < 126:
+        n, start = data[0] - 63, 1
+    elif len(data) >= 2 and data[1] < 126:
+        if len(data) < 4:
             raise GraphParseError("truncated graph6 size field", position=len(data))
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+        n, start = _size_field(data[1:4]), 4
     else:
-        if len(vals) < 8:
+        if len(data) < 8:
             raise GraphParseError("truncated graph6 size field", position=len(data))
-        n = 0
-        for v in vals[2:8]:
-            n = n << 6 | v
-        body = vals[8:]
+        n, start = _size_field(data[2:8]), 8
+    body = data[start:]
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphParseError(
             f"graph6 body has {len(body)} bytes, expected {(nbits + 5) // 6} for n={n}",
             position=len(data))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if body[idx // 6] >> (5 - idx % 6) & 1:
-                edges.append((i, j))
-            idx += 1
-    if body and body[-1] & ((1 << (-nbits % 6)) - 1):
+    if body and (body[-1] - 63) & ((1 << (-nbits % 6)) - 1):
         raise GraphParseError("nonzero padding bits in graph6 body",
                               position=len(data) - 1)
-    return Graph(n, edges)
+    bits = _unpack6(body)
+    # column j, read as a mask, is the neighbours of j below j; each of
+    # them gets j back, one step per edge
+    masks = [0] * n
+    top = 0  # column j's bits start at j (j - 1) / 2
+    for j in range(1, n):
+        col = int(bits[top:top + j][::-1], 2)
+        top += j
+        masks[j] |= col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            masks[low.bit_length() - 1] |= bit
+            col ^= low
+    return Graph._from_masks(tuple(masks))
 
 
 def to_edge_list(g: Graph) -> str:

@@ -134,16 +134,8 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    edges = []
-    for u in range(g.n):
-        rest = (full & ~g.masks[u] & ~(1 << u)) >> (u + 1)
-        v = u + 1
-        while rest:
-            if rest & 1:
-                edges.append((u, v))
-            rest >>= 1
-            v += 1
-    return Graph(g.n, edges)
+    return Graph._from_masks(tuple(full ^ m ^ (1 << v)
+                                   for v, m in enumerate(g.masks)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -228,22 +220,31 @@ def is_gap_free(g: Graph) -> bool:
     return True
 
 
-def is_chordal(g: Graph) -> bool:
-    """Chordality by maximum cardinality search (Tarjan and Yannakakis,
-    SIAM J. Comput. 13, 1984): visit next an unvisited vertex with the most
-    visited neighbours, popped from a bucket queue keyed by that count.
-    Ties may break any way, as every such order certifies. The reverse
-    visit order is a perfect elimination ordering iff g is chordal, and it
-    is one iff for each vertex v, with f the last visited of the neighbours
+def _chordal_separator(masks: Sequence[int]) -> int | None:
+    """None when the graph with these adjacency masks is not chordal, else
+    the size of its least minimal separator: 0 when it is disconnected,
+    n - 1 when it is complete (it has none then).
+
+    Maximum cardinality search (Tarjan and Yannakakis, SIAM J. Comput. 13,
+    1984): visit next an unvisited vertex with the most visited neighbours,
+    popped from a bucket queue keyed by that count. Ties may break any
+    way, as every such order certifies. The reverse visit order is a
+    perfect elimination ordering iff the graph is chordal, and it is one
+    iff for each vertex v, with f the last visited of the neighbours
     visited before v, the others of them are neighbours of f: one mask
-    test per vertex, O(n + m) steps in all."""
-    masks = g.masks
-    weight = [0] * g.n
-    last = [-1] * g.n  # the last visited neighbour so far
-    buckets = [list(range(g.n - 1, -1, -1))]  # pops the least label first
+    test per vertex, O(n + m) steps in all. The minimal separators of a
+    chordal graph are then the sets of neighbours visited before v, for
+    each v whose count of them does not exceed that of the vertex visited
+    just before it (Blair and Peyton, IMA Vol. Math. Appl. 56, 1993)."""
+    n = len(masks)
+    least = n - 1
+    weight = [0] * n
+    last = [-1] * n  # the last visited neighbour so far
+    buckets = [list(range(n - 1, -1, -1))]  # pops the least label first
     top = 0
+    prev = -1  # the count of the vertex visited before; none for the first
     visited = 0
-    for _ in range(g.n):
+    for _ in range(n):
         while True:
             bucket = buckets[top]
             if not bucket:
@@ -254,7 +255,10 @@ def is_chordal(g: Graph) -> bool:
                 break
         f = last[v]
         if f >= 0 and masks[v] & visited & ~masks[f] != 1 << f:
-            return False
+            return None
+        if top <= prev:
+            least = min(least, top)
+        prev = top
         visited |= 1 << v
         for u in _bits(masks[v] & ~visited):
             last[u] = v
@@ -264,4 +268,10 @@ def is_chordal(g: Graph) -> bool:
                 if w == len(buckets):
                     buckets.append([])
             buckets[w].append(u)
-    return True
+    return least
+
+
+def is_chordal(g: Graph) -> bool:
+    """Chordality by maximum cardinality search (see _chordal_separator):
+    every cycle of four or more vertices has a chord."""
+    return _chordal_separator(g.masks) is not None

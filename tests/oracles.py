@@ -162,6 +162,45 @@ def is_chordal_bruteforce(g: Graph) -> bool:
     return True
 
 
+def least_separator_bruteforce(g: Graph) -> int:
+    """Vertex connectivity: the fewest vertices whose removal leaves a
+    disconnected graph, by scanning vertex subsets; n - 1 when g is
+    complete, as no removal disconnects it."""
+    for size in range(g.n - 1):
+        for cut in combinations(range(g.n), size):
+            rest = set(range(g.n)) - set(cut)
+            start = min(rest)
+            seen = {start}
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for u in g.neighbors(v):
+                    if u in rest and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            if seen != rest:
+                return size
+    return g.n - 1
+
+
+def graph6_bitwise(g: Graph) -> str:
+    """graph6 as the format describes it, one bit at a time: the size
+    field, then x01, x02, x12, x03, ... packed six to a byte, zero-padded,
+    every byte offset by 63."""
+    n = g.n
+    if n <= 62:
+        digits = [n]
+    elif n <= 258047:
+        digits = [63] + [n >> s & 63 for s in (12, 6, 0)]
+    else:
+        digits = [63, 63] + [n >> s & 63 for s in (30, 24, 18, 12, 6, 0)]
+    bits = [int(g.has_edge(i, j)) for j in range(n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    for k in range(0, len(bits), 6):
+        digits.append(int("".join(map(str, bits[k:k + 6])), 2))
+    return "".join(chr(d + 63) for d in digits)
+
+
 def independent_sets_bruteforce(g: Graph) -> list[tuple[int, ...]]:
     out = []
     for w in all_subsets(range(g.n)):

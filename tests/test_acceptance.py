@@ -225,7 +225,7 @@ def test_criterion_10_pdr_spectrum_n9():
     committed = (Path(__file__).resolve().parents[1] / "data"
                  / "pdr_spectrum_n9.csv").read_text().splitlines()[1:]
     ok = (rep.classes_visited == ISOLATE_FREE_COUNTS[9]
-          and rep.certified == 242620
+          and rep.certified == 248467
           and rep.csv_lines() == committed
           and rep.row(1) == rep.expected_r1_row()
           and not rep.conjecture_violations()

@@ -18,7 +18,7 @@ from edgeideals.atlas import (UNLABELED_GRAPH_COUNTS, CanonicalForm,
                               enumerate_graphs, pdr_spectrum, random_graph,
                               recognize_family, verify_bound,
                               verify_classification, verify_spectrum)
-from edgeideals.betti import pd_and_reg
+from edgeideals.betti import betti_table
 from edgeideals.covers import tau_max
 from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
@@ -425,7 +425,7 @@ def _pdr_csv(n):
 
 # isolate-free classes whose pair pd_reg_bounds pins, out of 7, 23, 122,
 # 888 and 11,302
-CERTIFIED = {4: 6, 5: 20, 6: 105, 7: 785, 8: 10274}
+CERTIFIED = {4: 7, 5: 23, 6: 120, 7: 863, 8: 10859}
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(
@@ -445,7 +445,8 @@ def test_pdr_spectrum_n9_csv():
         g = from_graph6(g6)
         assert (int(n), g.n, isolated_vertices(g)) == (9, 9, frozenset())
         assert canonical_form(g).graph6() == g6
-        assert pd_and_reg(g, GF2) == (int(p), int(r))
+        t = betti_table(g, GF2)
+        assert (t.pd, t.reg) == (int(p), int(r))
         points.append(PdrPoint(int(p), int(r), canonical_form(g)))
     # classes_visited and certified are unused by the checks below; the
     # run's counts are checked by test_criterion_10_pdr_spectrum_n9

@@ -537,10 +537,10 @@ def test_pd_reg_bounds_hold_on_every_graph_to_n7():
             pd_lo, pd_hi, reg_lo, reg_hi = pd_reg_bounds(g)
             pinned += pd_lo == pd_hi and reg_lo == reg_hi
             for field in (GF2, GF3, QQ):
-                pd, reg = pd_and_reg(g, field)
-                assert pd_lo <= pd <= pd_hi, (g.edges, field)
-                assert reg_lo <= reg <= reg_hi, (g.edges, field)
-    assert pinned == 1103  # of the 1,253 graphs
+                t = betti_table(g, field)
+                assert pd_lo <= t.pd <= pd_hi, (g.edges, field)
+                assert reg_lo <= t.reg <= reg_hi, (g.edges, field)
+    assert pinned == 1224  # of the 1,253 graphs
 
 
 @pytest.mark.acceptance
@@ -549,17 +549,19 @@ def test_pd_reg_bounds_pinned_pairs_n8():
         pd_lo, pd_hi, reg_lo, reg_hi = pd_reg_bounds(g)
         if pd_lo == pd_hi and reg_lo == reg_hi:
             for field in (GF2, QQ):
-                assert pd_and_reg(g, field) == (pd_lo, reg_lo), g.edges
+                t = betti_table(g, field)
+                assert (t.pd, t.reg) == (pd_lo, reg_lo), g.edges
 
 
 def test_pd_reg_bounds_small_cases_and_cap(monkeypatch):
     assert pd_reg_bounds(Graph(0)) == (0, 0, 0, 0)
     assert pd_reg_bounds(Graph(3)) == (0, 0, 0, 0)
     assert pd_reg_bounds(two_k2()) == (2, 2, 2, 2)
-    # C5: pd 3, reg 2, tau_max 3, one induced edge. The pivot 0 leaves the
-    # edge 23 and the path 1234, with pd 1 and 2 and reg 1, so
+    # C5: pd 3, reg 2, tau_max 3; its complement, a 5-cycle, is not
+    # chordal, so reg >= 2 (Froberg). The pivot 0 leaves the edge 23 and
+    # the path 1234, with pd 1 and 2 and reg 1, so
     # pd <= max(1 + 2, 2 + 1) = 3 and reg <= max(1, 1 + 1) = 2
-    assert pd_reg_bounds(cycle_graph(5)) == (3, 3, 1, 2)
+    assert pd_reg_bounds(cycle_graph(5)) == (3, 3, 2, 2)
     assert pd_and_reg(cycle_graph(5)) == (3, 2)
     with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_BETTI_N"):
         pd_reg_bounds(path_graph(17))

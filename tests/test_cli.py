@@ -123,7 +123,7 @@ def test_verify_pdr_spec_json_counts_certified_classes(capsys):
                        "--format", "json")
     assert code == 0
     rec = json.loads(out)
-    assert (rec["classes_visited"], rec["certified"]) == (23, 20)
+    assert (rec["classes_visited"], rec["certified"]) == (23, 23)
     assert rec["r1_row_ok"] and rec["conjecture_violations"] == []
 
 

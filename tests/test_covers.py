@@ -327,3 +327,16 @@ def test_cover_cap_fails_fast_on_long_paths_and_cycles():
                 f(g)
     # one edge of a star meets every other: the check passes it on
     assert cover_report(complete_bipartite(1, 1499)).num_minimal_covers == 2
+
+
+def test_edgeless_graphs_meet_one_cap_rule(monkeypatch):
+    # an edgeless graph has one maximal independent set, all its vertices:
+    # every API raises under cap 0 and returns that one set under cap 1
+    for g in (Graph(0), Graph(3)):
+        monkeypatch.setenv("EDGEIDEALS_MAX_MIS", "0")
+        for f in (cover_report, tau_max, maximal_independent_sets):
+            with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_MIS"):
+                f(g)
+        monkeypatch.setenv("EDGEIDEALS_MAX_MIS", "1")
+        assert cover_report(g).num_minimal_covers == 1
+        assert maximal_independent_sets(g) == [tuple(range(g.n))]

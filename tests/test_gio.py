@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from edgeideals.families import complete_graph, cycle_graph, pendant_clique
 from edgeideals.gio import (emit_graph, from_edge_list, from_graph6,
                             parse_graph, to_edge_list, to_graph6)
 from edgeideals.graphs import Graph
-from edgeideals.atlas import canonical_bits
+from edgeideals.atlas import canonical_bits, enumerate_graphs
+from oracles import graph6_bitwise
 
 
 def test_known_graph6_strings():
@@ -49,6 +52,22 @@ def test_graph6_canonical_comparison_roundtrip():
 def test_graph6_malformed(text):
     with pytest.raises(GraphParseError):
         from_graph6(text)
+
+
+@pytest.mark.parametrize("text,message,pos", [
+    ("~", "truncated graph6 size field", 1),
+    ("~~????", "truncated graph6 size field", 6),
+    ("A_\x80", "non-ASCII byte in graph6 input", 2),
+    ("A>", "byte 62 outside graph6 range", 1),
+    ("Bw@", "graph6 body has 2 bytes, expected 1 for n=3", 3),
+    ("~??~", "graph6 body has 0 bytes, expected 326 for n=63", 4),
+    ("B~", "nonzero padding bits in graph6 body", 1),
+])
+def test_graph6_errors_carry_positions(text, message, pos):
+    with pytest.raises(GraphParseError) as err:
+        from_graph6(text)
+    assert (str(err.value), err.value.position) == (
+        f"{message} (at position {pos})", pos)
 
 
 def test_edge_list_roundtrip():
@@ -93,6 +112,32 @@ def graphs(draw):
 def test_roundtrip_property(g):
     assert from_graph6(to_graph6(g)) == g
     assert from_edge_list(to_edge_list(g)) == g
+
+
+def test_graph6_roundtrip_every_atlas_level_to_n7():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            s = to_graph6(g)
+            assert s == graph6_bitwise(g)
+            assert from_graph6(s) == g
+
+
+@st.composite
+def wide_graphs(draw):
+    # n = 63..70 takes the 4-byte size field
+    n = draw(st.integers(0, 70))
+    p = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return Graph(n, [(i, j) for j in range(n) for i in range(j)
+                     if rng.random() < p])
+
+
+@given(wide_graphs())
+@settings(max_examples=150, deadline=None)
+def test_graph6_columns_match_the_bitwise_format(g):
+    s = to_graph6(g)
+    assert s == graph6_bitwise(g)
+    assert from_graph6(s) == g
 
 
 def test_emit_graph_unknown_format_is_usage_error():

@@ -8,11 +8,11 @@ from edgeideals.atlas import enumerate_graphs
 from edgeideals.errors import ParameterRangeError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
-from edgeideals.graphs import (Graph, _bits, _components, complement,
-                               disjoint_union, induced_subgraph, is_bipartite,
-                               is_chordal, is_connected, is_gap_free,
-                               isolated_vertices, relabel)
-from oracles import is_chordal_bruteforce
+from edgeideals.graphs import (Graph, _bits, _chordal_separator, _components,
+                               complement, disjoint_union, induced_subgraph,
+                               is_bipartite, is_chordal, is_connected,
+                               is_gap_free, isolated_vertices, relabel)
+from oracles import is_chordal_bruteforce, least_separator_bruteforce
 
 
 def graph_strategy(max_n=7):
@@ -142,6 +142,19 @@ def test_chordal_agrees_with_bruteforce(small_corpus):
     every_class = [g for n in range(8) for g in enumerate_graphs(n)]
     for g in [g for g in small_corpus if g.n <= 7] + every_class:
         assert is_chordal(g) == is_chordal_bruteforce(g), g.edges
+
+
+def test_chordal_separator_is_the_vertex_connectivity(small_corpus):
+    # maximum cardinality search reads the least minimal separator of a
+    # chordal graph off its visit order, on any labelling
+    every_class = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    for g in [g for g in small_corpus if g.n <= 7] + every_class:
+        want = (least_separator_bruteforce(g) if is_chordal_bruteforce(g)
+                else None)
+        assert _chordal_separator(g.masks) == want, g.edges
+    assert _chordal_separator(Graph(3).masks) == 0
+    assert _chordal_separator(complete_graph(5).masks) == 4
+    assert _chordal_separator(path_graph(6).masks) == 1
 
 
 def test_gap_free_known_cases():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from edgeideals.betti import pd_and_reg
+from edgeideals.betti import betti_table, pd_and_reg, pd_reg_bounds
 from edgeideals.covers import tau_max
 from edgeideals.errors import ParameterRangeError
 from edgeideals.families import complete_bipartite, pendant_clique, two_k2
@@ -77,6 +77,18 @@ def test_spectrum_pd_reg_small():
     for n in range(2, 11):
         for p in range(cover_lower_bound(n), n):
             assert pd_and_reg(build_spectrum_graph(n, p)) == (p, 1)
+
+
+def test_spectrum_graphs_get_point_box_from_complement():
+    # the complement of a spectrum graph is chordal, so pd_reg_bounds
+    # gives the closed form (p, 1) with no subset visited; the Hochster
+    # sum agrees up to the Betti cap
+    for n in range(2, 17):
+        for p in range(cover_lower_bound(n), n):
+            g = build_spectrum_graph(n, p)
+            assert pd_reg_bounds(g) == (p, p, 1, 1), (n, p)
+            t = betti_table(g)
+            assert (t.pd, t.reg) == (p, 1), (n, p)
 
 
 def test_build_spectrum_examples():
