@@ -26,10 +26,12 @@ met under that earlier parent (the deletion test). Its tables are built
 once per parent, so each child costs a few adds per old vertex. A child
 it keeps gets a class key, a hash of the sorted (degree, triangles,
 neighbour-degree sum) rows of its vertices, computed from the parent's
-rows; a new key is a new class, and only a child whose key was met before
-gets a canonical form. Both
-steps are proved in _atlas_level: every level, its order and every
-representative are those of deduplicating every child by canonical form.
+rows; a new key is a new class. A child whose key was met before goes
+through the deletion test once more with the finer key, the class keys of
+its deletions read off its own rows, and only a child that survives it
+gets a canonical form. Every step is proved in _atlas_level: every level,
+its order and every representative are those of deduplicating every child
+by canonical form.
 """
 
 from __future__ import annotations
@@ -291,18 +293,22 @@ def _triangles(masks: tuple[int, ...]) -> list[int]:
             for m in masks]
 
 
-def _deletion_key(masks: tuple[int, ...], b: int) -> int:
-    """An isomorphism invariant of a graph on fewer than 2^b vertices: its
-    degree histogram, the sum of 1 << (b * deg v), plus its triangle count
-    shifted past it, << (b << b)."""
-    hist = sum(1 << b * m.bit_count() for m in masks)
-    return hist + (sum(_triangles(masks)) // 3 << (b << b))
+def _deletion_key(rows: list[int], b: int) -> int:
+    """An isomorphism invariant of a graph on fewer than 2^b vertices, read
+    off its _vertex_rows: its degree histogram, the sum of
+    1 << (b * deg v), plus its triangle count shifted past it,
+    << (b << b)."""
+    dmask = (1 << b) - 1
+    tmask = (1 << 2 * b) - 1
+    hist = sum(1 << b * (r & dmask) for r in rows)
+    return hist + (sum(r >> b & tmask for r in rows) // 3 << (b << b))
 
 
-def _deletion_tables(base: tuple[int, ...], b: int
+def _deletion_tables(base: tuple[int, ...], rows: list[int], b: int
                      ) -> tuple[int, list[int], list[int], list[int]]:
-    """The parts of the deletion test of parent `base` that do not depend
-    on the attachment set: (key0, up, dup, h0).
+    """The parts of the deletion test of parent `base` (rows `rows`, from
+    _vertex_rows(base, b)) that do not depend on the attachment set:
+    (key0, up, dup, h0).
 
     key0 is the parent's _deletion_key. A vertex u of degree d adds
     pw[u] = 1 << b*d to the histogram, and a neighbour's deletion moves it
@@ -311,7 +317,8 @@ def _deletion_tables(base: tuple[int, ...], b: int
     and its drop by dup[u]. h0[w] is what deleting w takes from the key of
     a child in which w and its neighbours are not attached."""
     s = b << b
-    tri = _triangles(base)
+    tmask = (1 << 2 * b) - 1
+    tri = [r >> b & tmask for r in rows]
     pw = [1 << b * m.bit_count() for m in base]
     drop = [p - (p >> b) for p in pw]
     up = [(p << b) - p for p in pw]
@@ -407,6 +414,37 @@ def _class_key(rows: list[int]) -> int:
     return hash(tuple(sorted(rows)))
 
 
+def _deletion_rows(masks: tuple[int, ...], rows: list[int], w: int,
+                   b: int) -> list[int]:
+    """_vertex_rows of C - w, in vertex order, from the masks and rows of
+    C, with no graph built. A vertex v with c neighbours in N(w) loses c
+    from its neighbour-degree sum; if v is a neighbour of w it also loses
+    one degree, c triangles and w's degree from the sum."""
+    t = 3 * b
+    mw = masks[w]
+    dw = mw.bit_count()
+    out = []
+    for v, m in enumerate(masks):
+        if v != w:
+            c = (m & mw).bit_count()
+            r = rows[v] - (c << t)
+            if mw >> v & 1:
+                r -= 1 + (c << b) + (dw << t)
+            out.append(r)
+    return out
+
+
+def _earlier_class(masks: tuple[int, ...], rows: list[int], b: int,
+                   last_class: dict[int, int], i: int) -> bool:
+    """Whether the child C of parent i (masks `masks`, rows `rows`) has an
+    old vertex w with last_class[_class_key(C - w)] < i, trying the latest
+    vertex first; the new vertex, the last one, is never tried."""
+    for w in range(len(masks) - 2, -1, -1):
+        if last_class[_class_key(_deletion_rows(masks, rows, w, b))] < i:
+            return True
+    return False
+
+
 def _new_class(seen: dict[int, tuple[int, ...] | int | set[int]], key: int,
                masks: tuple[int, ...], n: int) -> bool:
     """Whether the child `masks` is a class not yet in `seen`, recording
@@ -472,18 +510,35 @@ def _atlas_level(n: int) -> list[Graph]:
     - A child whose key is new is a new class: a kept child isomorphic to
       it would have the same key, since the key is an isomorphism
       invariant, and every kept child's key is in `seen`.
-    - A child whose key was met is compared by canonical_bits with every
-      kept child of that key (_new_class), and no other kept child can be
-      isomorphic to it.
+    - A child whose key was met is dropped by the second deletion test
+      below only if its class was met, and one that test keeps is compared
+      by canonical_bits with every kept child of that key (_new_class);
+      no other kept child can be isomorphic to it.
     So every level, its order and every representative are unchanged; a
     coarser key, or two classes whose rows hash alike, would only cost more
-    canonical forms. canonical_bits runs only on a child whose key was met
-    before: 0 times to n = 6, then 325, 14,413 and 769,126 times at n = 7,
-    8 and 9, against 1,212, 20,856 and 816,686 with every kept child's form
-    looked up, of 5,096, 79,264 and 2,208,612 orbit-least children.
+    canonical forms.
+
+    Second deletion test. `last_class` maps each _class_key of a parent to
+    the position of the last parent with it. A kept child C whose key is
+    in `seen` is dropped, with no canonical form, when some old vertex w
+    has last_class[key(C - w)] < i (_earlier_class). The proof is the
+    deletion test's with the class key in place of the deletion key: it is
+    an isomorphism invariant, so the parent P_j isomorphic to C - w has it
+    and j <= last_class[key(C - w)] < i. Again the new vertex is never
+    tried as w. _deletion_rows derives the rows of C - w from C's in O(n)
+    mask operations, latest w first. A child with a new key skips the
+    test, being a new class in any case. The test runs on 168, 8,602 and
+    548,526 children at n = 7, 8 and 9 and drops 168, 8,506 and 540,248
+    of them, so canonical_bits runs 0 times to n = 7, then
+    186 and 15,121 times at n = 8 and 9. That is against 325, 14,413 and
+    769,126 with no second test, 1,212, 20,856 and 816,686 with every kept
+    child's form looked up, and 5,096, 79,264 and 2,208,612 orbit-least
+    children.
 
     A child is built from its parent's masks, and only when the deletion
     test keeps it; no level caches an edge tuple on the graphs it keeps.
+    Each parent's rows are computed once, before the loop, and give its
+    deletion key, its class key and its deletion tables.
     """
     cached = _ATLAS_CACHE.get(n)
     if cached is not None:
@@ -499,11 +554,12 @@ def _atlas_level(n: int) -> list[Graph]:
     # building the level added
     ints = list(range(bit << 1))
     b = n.bit_length()
-    last = {_deletion_key(p.masks, b): i for i, p in enumerate(parents)}
-    for i, parent in enumerate(parents):
+    parent_rows = [_vertex_rows(p.masks, b) for p in parents]
+    last = {_deletion_key(rows, b): i for i, rows in enumerate(parent_rows)}
+    last_class = {_class_key(rows): i for i, rows in enumerate(parent_rows)}
+    for i, (parent, rows) in enumerate(zip(parents, parent_rows)):
         base = parent.masks
-        tables = _deletion_tables(base, b)
-        rows = _vertex_rows(base, b)
+        tables = _deletion_tables(base, rows, b)
         # A set A and its image under an automorphism a of the parent give
         # isomorphic children (extend a by fixing the new vertex), and the
         # least set of the orbit comes first in this loop, so each skipped
@@ -514,9 +570,13 @@ def _atlas_level(n: int) -> list[Graph]:
         for attach in _orbit_least_masks(auts, new):
             if _earlier_deletion(base, attach, tables, b, last, i):
                 continue
-            key = _class_key(_child_rows(base, rows, attach, b))
+            child_rows = _child_rows(base, rows, attach, b)
+            key = _class_key(child_rows)
             masks = tuple(ints[m | bit] if attach >> u & 1 else m
                           for u, m in enumerate(base)) + (ints[attach],)
+            if key in seen and _earlier_class(masks, child_rows, b,
+                                              last_class, i):
+                continue
             if _new_class(seen, key, masks, n):
                 level.append(Graph._from_masks(masks))
     _ATLAS_CACHE[n] = level
@@ -640,7 +700,13 @@ def verify_bound(n_max: int, exhaustive: bool = True,
     """Check the lower bound for the maximum minimal cover over all
     isolate-free graphs for n = 2..n_max: exhaustively over isomorphism
     classes, or on seeded random samples. Comparisons are integer-exact:
-    tau >= ceil(2*sqrt(n) - 2) iff (tau + 2)^2 >= 4n."""
+    tau >= ceil(2*sqrt(n) - 2) iff (tau + 2)^2 >= 4n.
+
+    The complement of a maximal independent set S is a minimal cover, so
+    tau_max >= n - |S|. A class whose greedy S
+    (covers._greedy_independent) puts n - |S| above the bound is neither a
+    violation nor on the bound, and its tau_max is not searched for: 784
+    of the 1,043 isolate-free classes with n <= 7."""
     if n_max < 2:
         raise ParameterRangeError(f"verify_bound needs n_max >= 2, got {n_max}")
     if not exhaustive and (samples is None or seed is None):
@@ -658,6 +724,8 @@ def verify_bound(n_max: int, exhaustive: bool = True,
         bound = spectrum.cover_lower_bound(n)
         for g in source:
             visited += 1
+            if n - covers._greedy_independent(g.masks).bit_count() > bound:
+                continue
             tau = covers.tau_max(g)
             if (tau + 2) ** 2 < 4 * n:
                 violations.append(gio.to_graph6(g))
@@ -684,7 +752,10 @@ class ClassificationReport:
 
 def verify_classification(n: int) -> ClassificationReport:
     """For perfect squares n (4 or 9 at desk scale): tau_max equals
-    2*sqrt(n) - 2 exactly for the recognized families, in both directions."""
+    2*sqrt(n) - 2 exactly for the recognized families, in both directions.
+    Every class is recognized; tau_max is searched for only where a greedy
+    maximal independent set leaves it possibly on the target (see
+    verify_bound)."""
     if n not in (4, 9):
         raise ParameterRangeError(
             f"classification check supports n in {{4, 9}}, got {n}")
@@ -695,9 +766,11 @@ def verify_classification(n: int) -> ClassificationReport:
     mismatches = []
     for g in enumerate_graphs(n, "no-isolated"):
         visited += 1
-        tau = covers.tau_max(g)
         tag = recognize_family(g)
-        if tau == target:
+        # tau_max >= n - |S| for a greedy maximal independent set S, so a
+        # class with n - |S| > target is off the target with no search
+        if (n - covers._greedy_independent(g.masks).bit_count() <= target
+                and covers.tau_max(g) == target):
             equality.append(gio.to_graph6(g))
             tags.append(tag.kind if tag.s is None else f"{tag.kind}:{tag.s}")
             if tag.kind == "other":

@@ -281,6 +281,21 @@ def _independence_number(masks: Sequence[int]) -> int:
     return best + isolated.bit_count()
 
 
+def _greedy_independent(masks: Sequence[int]) -> int:
+    """A maximal independent set of the graph with adjacency masks
+    `masks`, as a bitmask: take the vertex with the most neighbours left,
+    the least one on ties, drop its closed neighbourhood, and repeat until
+    no vertex is left. Its complement is a minimal cover, so n minus its
+    size is a lower bound on tau_max."""
+    left = (1 << len(masks)) - 1
+    chosen = 0
+    while left:
+        v = max(_bits(left), key=lambda u: (masks[u] & left).bit_count())
+        chosen |= 1 << v
+        left &= ~(masks[v] | 1 << v)
+    return chosen
+
+
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All maximal independent sets, sorted lexicographically."""
     return sorted(_bits(m) for m in _mis_masks(g.masks))

@@ -11,7 +11,8 @@ from edgeideals import atlas
 from edgeideals.atlas import (UNLABELED_GRAPH_COUNTS, CanonicalForm,
                               PdrPoint, PdrSpectrumReport, _atlas_level,
                               _canonical_search, _child_rows, _class_key,
-                              _deletion_key, _deletion_tables,
+                              _deletion_key, _deletion_rows,
+                              _deletion_tables, _earlier_class,
                               _earlier_deletion, _orbit_least_masks,
                               _vertex_rows,
                               canonical_bits, canonical_form,
@@ -131,11 +132,12 @@ def test_atlas_levels_equal_unpruned_oracle():
 
 def test_atlas_deletion_test_saves_canonical_forms(monkeypatch):
     # from a cold cache: a child whose one-vertex deletion can only be an
-    # earlier parent gets no canonical form, and of the others only those
-    # whose class key was met before get one (5,096 calls at n = 7 with
-    # neither test, one per orbit-least attachment set; 1,212 with the
-    # deletion test alone). Up to n = 6 the class key separates every
-    # class the deletion test keeps.
+    # earlier parent gets no canonical form, by the deletion keys or, once
+    # its class key was met, by the class keys of its deletions; of the
+    # rest only those whose class key was met before get one (5,096 calls
+    # at n = 7 with no test, one per orbit-least attachment set; 1,212
+    # with the deletion test alone, 325 with the class key too). Up to
+    # n = 7 no child reaches a canonical form.
     calls = []
 
     def counted(masks, n):
@@ -144,11 +146,12 @@ def test_atlas_deletion_test_saves_canonical_forms(monkeypatch):
 
     monkeypatch.setattr(atlas, "_ATLAS_CACHE", {0: [Graph(0)]})
     monkeypatch.setattr(atlas, "canonical_bits", counted)
-    _atlas_level(6)
-    assert calls == []
     level = _atlas_level(7)
     assert len(level) == UNLABELED_GRAPH_COUNTS[7]
-    assert len(calls) <= 400
+    assert calls == []
+    level = _atlas_level(8)
+    assert len(level) == UNLABELED_GRAPH_COUNTS[8]
+    assert calls == [8] * 186
 
 
 def _orbit_least_children(n):
@@ -164,25 +167,75 @@ def _orbit_least_children(n):
             yield i, parent, attach, child
 
 
+def _deletions(child):
+    """child - w, built as a graph of its own, for each old vertex w."""
+    n = child.n
+    return [induced_subgraph(child, [v for v in range(n) if v != w])
+            for w in range(n - 1)]
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_deletion_tables_match_explicit_deletions(n):
     # the deletion test's verdict from per-parent tables equals the one
     # from the key of each C - w built as a graph of its own
     b = n.bit_length()
-    last = {_deletion_key(p.masks, b): i
+    last = {_deletion_key(_vertex_rows(p.masks, b), b): i
             for i, p in enumerate(_atlas_level(n - 1))}
     dropped = 0
     for i, parent, attach, child in _orbit_least_children(n):
-        keys = [_deletion_key(induced_subgraph(
-            child, [v for v in range(n) if v != w]).masks, b)
-            for w in range(n - 1)]
+        keys = [_deletion_key(_vertex_rows(sub.masks, b), b)
+                for sub in _deletions(child)]
         expect = any(last[key] < i for key in keys)
-        tables = _deletion_tables(parent.masks, b)
+        rows = _vertex_rows(parent.masks, b)
+        tables = _deletion_tables(parent.masks, rows, b)
         assert _earlier_deletion(parent.masks, attach, tables, b, last,
                                  i) == expect, (parent.edges, attach)
         dropped += expect
     if n == 7:
         assert dropped == 5096 - 1212
+
+
+class _Lookups(dict):
+    """A dict that records every key read through d[key]."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_class_deletion_rows_match_explicit_deletions(n):
+    # the rows of each C - w that the second deletion test derives from C's
+    # own are those of C - w built as a graph of its own, and the test
+    # reads the class keys of the deletions of the old vertices, latest
+    # first, up to the first one met only under an earlier parent
+    b = n.bit_length()
+    last_class = {_class_key(_vertex_rows(p.masks, b)): i
+                  for i, p in enumerate(_atlas_level(n - 1))}
+    dropped = 0
+    for i, parent, attach, child in _orbit_least_children(n):
+        rows = _vertex_rows(child.masks, b)
+        subs = _deletions(child)
+        for w, sub in enumerate(subs):
+            assert _deletion_rows(child.masks, rows, w, b) == \
+                _vertex_rows(sub.masks, b), (parent.edges, attach, w)
+        keys = [_class_key(_vertex_rows(sub.masks, b))
+                for sub in reversed(subs)]
+        first = next((k for k, key in enumerate(keys)
+                      if last_class[key] < i), None)
+        lookups = _Lookups(last_class)
+        verdict = _earlier_class(child.masks, rows, b, lookups, i)
+        assert verdict == (first is not None), (parent.edges, attach)
+        assert lookups.read == keys[:len(keys) if first is None
+                                    else first + 1], (parent.edges, attach)
+        dropped += verdict
+    if n == 7:
+        # on its own it keeps one child per class: 1,044 of 5,096
+        assert dropped == 5096 - 1044
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -279,6 +332,31 @@ def test_search_automorphisms_and_orbit_least_masks_every_graph_to_n6():
             least = [m for m in range(1 << n)
                      if all(_image(m, p) >= m for p in group)]
             assert _orbit_least_masks(auts, n) == least, g.edges
+
+
+def _closure(gens, n):
+    """The group the perms `gens` on range(n) generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for a in gens:
+            q = tuple(a[v] for v in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def test_search_automorphisms_generate_the_whole_group_to_n6():
+    # the perms _canonical_search keeps generate all of Aut(G), not just a
+    # subgroup, on every graph with n <= 6
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            auts = _canonical_search(g.masks, n)[1]
+            count = sum(_is_automorphism(g, p)
+                        for p in permutations(range(n)))
+            assert len(_closure(auts, n)) == count, g.edges
 
 
 @given(st.integers(1, 9), st.sampled_from((0.2, 0.5, 0.8)),

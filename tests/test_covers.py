@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeideals.atlas import enumerate_graphs, random_graph
-from edgeideals.covers import (_maximum_matching, _mis_summary, cover_report,
+from edgeideals.covers import (_greedy_independent, _maximum_matching,
+                               _mis_summary, cover_report,
                                enumerate_minimal_covers,
                                induced_matching_number,
                                is_minimal_vertex_cover, is_vertex_cover,
@@ -16,6 +17,7 @@ from edgeideals.families import (complete_graph, complete_bipartite,
 from edgeideals.gio import from_graph6, to_graph6
 from edgeideals.graphs import (Graph, is_connected, is_gap_free,
                                isolated_vertices)
+from edgeideals.spectrum import cover_lower_bound
 from oracles import (induced_matching_branching, induced_matching_bruteforce,
                      matching_branching, matching_bruteforce,
                      minimal_covers_bruteforce)
@@ -129,6 +131,32 @@ def test_mis_summary_equals_listing_random():
     assert sum(not is_connected(g) for g in corpus) >= 20
     for g in corpus:
         assert _mis_summary(g.masks) == summary_by_listing(g), to_graph6(g)
+
+
+def _is_maximal_independent(masks, s):
+    return all(not masks[v] & s if s >> v & 1 else masks[v] & s
+               for v in range(len(masks)))
+
+
+def test_greedy_independent_set_is_maximal_below_tau_max():
+    # the certificate of verify_bound and verify_classification: a maximal
+    # independent set S, whose complement is a minimal cover, so
+    # n - |S| <= tau_max. On 784 of the 1,043 isolate-free classes with
+    # n <= 7 it is already above ceil(2 sqrt(n) - 2)
+    above = 0
+    for n in range(2, 8):
+        for g in enumerate_graphs(n, "no-isolated"):
+            s = _greedy_independent(g.masks)
+            assert _is_maximal_independent(g.masks, s), g.edges
+            assert n - s.bit_count() <= tau_max(g), g.edges
+            above += n - s.bit_count() > cover_lower_bound(n)
+    assert above == 784
+    for n in range(1, 21):
+        for p in (0.1, 0.3, 0.5, 0.8):
+            g = random_graph(n, p, 1000 * n + int(10 * p))
+            s = _greedy_independent(g.masks)
+            assert _is_maximal_independent(g.masks, s), to_graph6(g)
+            assert n - s.bit_count() <= tau_max(g), to_graph6(g)
 
 
 def test_matching_numbers_known():
