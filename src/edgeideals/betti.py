@@ -96,14 +96,22 @@ general, and the flag RP^2 graph JhW[X`LtKF? (reg 3 over GF(2), 2 over
 Q) has the box pd in [8, 9], reg in [2, 3], which holds both fields'
 pairs.
 
-dual_regularity gives the cover-ideal side used by dual_check: the same
-sum over the complex of non-covers (the Alexander dual of the independence
-complex). There only vertex covers W contribute, since a non-cover W
-restricts to the full simplex on W, and the complex over a cover W is
-generated by the sets W - A for the inclusion-minimal A among the sets
-e & W, one per edge e. A vertex of W in no such A lies in every facet, so
-the complex is a cone and W is skipped. That test reads the generators
-only, and the dual side shares only homology_dims with betti_table, so the
+dual_regularity gives the cover-ideal side used by dual_check: the largest
+k + 1 with H~_k nonzero over the complexes K_W of non-covers restricted
+to each W (the non-cover complex is the Alexander dual of the independence
+complex). Only vertex covers W = V - I, I independent, contribute, since a
+non-cover W restricts to the full simplex on W. K_W is generated by
+W - v for v in N(I) and W - e for the edges e of G - N[I]; it is a cone,
+and W is skipped, when G - N[I] has an isolated vertex. Its dimension is
+|W| - 2 for I nonempty and n - 3 for I empty, so the independent sets are
+grown one size at a time, the covers come in descending dimension (I
+empty after the sets of size one, its equals), and the search stops once
+dim K_W + 1 is no more than the best k + 1 found.
+Each cover's complex is built from the top down, one degree at a time, to
+its first nonzero degree at or above the best, and no lower. The best
+starts at 0 and only ever takes a degree where a rank computation found
+nonzero homology, never a bound from the primal side; the dual side
+shares only the boundary-rank kernels with betti_table, so the
 cross-check stays independent.
 """
 
@@ -116,8 +124,8 @@ from . import covers
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
 from .graphs import (Graph, _bits, _chordal_separator, _components,
                      complement)
-from .homology import (GF2, FieldSpec, SimplicialComplex, homology_dims,
-                       independence_complex)
+from .homology import (GF2, FieldSpec, homology_dims, independence_complex,
+                       top_homology_degree)
 
 DEFAULT_MAX_N = 16
 
@@ -474,46 +482,73 @@ def regularity(g: Graph, field: FieldSpec = GF2) -> int:
 def dual_regularity(g: Graph, field: FieldSpec = GF2) -> int:
     """Castelnuovo-Mumford regularity of the cover ideal (the Alexander
     dual of the edge ideal), via the subset-homology sum run on the complex
-    of non-covers restricted to each W. Returns reg of the ideal, i.e. reg
-    of the quotient plus one.
+    K_W of non-covers restricted to each W. Returns reg of the ideal, i.e.
+    reg of the quotient plus one.
 
-    Only vertex covers W are visited. If W misses an edge, so does every
-    subset of W, so the restriction is the full simplex on W: no reduced
-    homology for W nonempty, and for W empty only H~_{-1}, which gives
-    reg 0, the start value. Over a cover W the faces are the subsets of W
-    that miss some edge e, so the sets W - e generate the complex, and the
-    inclusion-minimal sets e & W already give its facets. A vertex of W in
-    none of them lies in every facet: the complex is a cone, with no
-    reduced homology.
+    reg of the quotient is the largest k + 1 with H~_k(K_W) nonzero for
+    some W, and 0 when there is none. Only vertex covers W count: if W
+    misses an edge, so does every subset of W, so K_W is the full simplex
+    on W, with no reduced homology for W nonempty and only H~_{-1}, worth
+    0, for W empty. The covers are the complements W = V - I of the
+    independent sets I. Over a cover the faces are the subsets of W that
+    miss some edge e, so K_W is generated by the sets W - (e & W); the
+    inclusion-minimal ones are W - v for v in N(I) and W - e for the edges
+    e of G - N[I]. A vertex of W in none of those lies in every facet, so
+    K_W is a cone, with no reduced homology, and W is skipped: exactly when
+    G - N[I] has an isolated vertex.
+
+    As g has no isolated vertex, a nonempty I has a neighbour v in W, and
+    W - v is a face: dim K_W = |W| - 2 = n - |I| - 2. For I empty every
+    facet is V - e, and dim K_W = n - 3. The independent sets are grown
+    one size at a time, so the covers come in descending dim; I empty ties
+    with the sets of size one and comes after them, as its complex is the
+    largest. The search stops at the first size where dim + 1 is no more
+    than the best k + 1 found: no cover left can beat it. Each cover asks
+    top_homology_degree for its largest nonzero degree k >= best, which
+    builds faces from the top down and stops there. So every value found
+    is a nonzero H~_k of some K_W, never a bound, and the search calls
+    nothing of the primal engine.
     """
     _check_cap(g.n, "dual_regularity")
-    if isolated := [v for v in range(g.n) if not g.masks[v]]:
+    masks = g.masks
+    if isolated := [v for v in range(g.n) if not masks[v]]:
         raise ParameterRangeError(
             f"dual side needs an isolate-free graph; isolated: {isolated}")
     if g.n == 0:
         raise ParameterRangeError("dual side needs at least one edge")
+    full = (1 << g.n) - 1
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    reg_quotient = 0
-    for w_mask in range(1 << g.n):
-        if not all(em & w_mask for em in edge_masks):
-            continue
-        # each e & W is one vertex or a whole edge; an edge is minimal
-        # unless one of its ends is such a vertex
-        cuts = {em & w_mask for em in edge_masks}
-        singles = 0
-        for a in cuts:
-            if not a & (a - 1):
-                singles |= a
-        minimal = [a for a in cuts if not a & (a - 1) or not a & singles]
-        covered = 0
-        for a in minimal:
-            covered |= a
-        if covered != w_mask:
-            continue
-        cx = SimplicialComplex.from_facets(w_mask & ~a for a in minimal)
-        for k in homology_dims(cx, field):
-            reg_quotient = max(reg_quotient, k + 1)
-    return reg_quotient + 1
+    best = 0
+    # independent sets I of one size, each with N(I) and the vertices that
+    # can extend it: above its largest vertex and not in N(I)
+    level = [(0, 0, full)]
+    for size in range(1, g.n + 1):
+        if g.n - size - 1 <= best:  # dim K_W + 1 <= best for every W left
+            break
+        grown = []
+        for ind, near, free in level:
+            while free:
+                low = free & -free
+                free ^= low
+                nb = masks[low.bit_length() - 1]
+                grown.append((ind | low, near | nb, free & ~nb))
+        level = grown
+        # I empty ties with size 1 at dim n - 3, and its complex is the
+        # largest, so it comes after them
+        for ind, near, _ in grown + [(0, 0, 0)] if size == 1 else grown:
+            w = full & ~ind
+            rest = w & ~near
+            inner = [em for em in edge_masks if em & rest == em]
+            covered = near
+            for em in inner:
+                covered |= em
+            if covered == w:
+                k = top_homology_degree(
+                    [w ^ (1 << v) for v in _bits(near)]
+                    + [w & ~em for em in inner], best, field)
+                if k is not None:
+                    best = k + 1
+    return best + 1
 
 
 def dual_check(g: Graph, field: FieldSpec = GF2) -> DualReport:

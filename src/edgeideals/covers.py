@@ -92,6 +92,9 @@ def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
     Bron-Kerbosch with pivoting on the complement, whose cliques are the
     independent sets, on an explicit stack of (r, p, x) frames. Isolated
     vertices lie in every maximal independent set, so they start in r.
+    The pivot u in p | x is the least with the most vertices of p outside
+    N[u]. All of p only when u is in x with no neighbour in p; then no
+    set lies below the state, and the scan stops at that u.
 
     Raises ResourceLimitError when there are more sets than `_mis_cap`.
     """
@@ -109,16 +112,20 @@ def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
                 raise _too_many_sets(cap)
             yield r
             continue
+        in_p = p.bit_count()
         pool = p | x
-        best = (pool & -pool).bit_length() - 1
-        best_deg = (comp[best] & p).bit_count()
+        best_out = -1
         while pool:
             low = pool & -pool
             v = low.bit_length() - 1
-            deg = (comp[v] & p).bit_count()
-            if deg > best_deg:
-                best, best_deg = v, deg
+            out = (comp[v] & p).bit_count()
+            if out > best_out:
+                best, best_out = v, out
+                if out == in_p:
+                    break
             pool ^= low
+        if best_out == in_p:
+            continue
         cand = p & ~comp[best]
         children = []
         while cand:

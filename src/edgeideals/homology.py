@@ -14,6 +14,9 @@ for vertex v and the empty face is 0. The boundary of f is the faces
 f ^ low, one per set bit low of f, signed alternately in ascending order.
 `independence_complex(g, w)` builds Ind(G[W]) for a vertex mask w of g
 with faces in g's own labels, so no induced subgraph is relabeled first.
+`top_homology_degree` answers "the largest nonzero degree at or above a
+floor" from a list of generators, building faces from the top down only
+as far as that answer needs.
 
 Ranks are exact. Over GF(2) boundary columns are bitmasks eliminated by
 XOR (`_rank_gf2`); over GF(p) for odd p and over Q one sparse kernel
@@ -25,7 +28,7 @@ of being expanded to a dense list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 from typing import Iterable
 
 from .errors import ParameterRangeError
@@ -195,10 +198,10 @@ def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
     return len(pivots)
 
 
-def _boundary_rank(cx: SimplicialComplex, k: int, field: FieldSpec) -> int:
-    """Rank of the reduced boundary operator C_k -> C_{k-1}."""
-    faces = cx.faces_by_dim.get(k)
-    below = cx.faces_by_dim.get(k - 1)
+def _boundary_rank(faces: list[int], below: list[int],
+                   field: FieldSpec) -> int:
+    """Rank of the reduced boundary operator from the k-faces `faces` onto
+    `below`, which lists every (k-1)-face of the complex."""
     if not faces or not below:
         return 0
     index = {f: i for i, f in enumerate(below)}
@@ -224,8 +227,10 @@ def homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict[int, in
     """All nonzero reduced homology dimensions, as a map k -> dim H~_k."""
     if cx.is_void:
         return {}
+    faces = cx.faces_by_dim
     top = cx.dim
-    ranks = {k: _boundary_rank(cx, k, field) for k in range(0, top + 1)}
+    ranks = {k: _boundary_rank(faces.get(k, []), faces.get(k - 1, []), field)
+             for k in range(0, top + 1)}
     ranks[top + 1] = 0
     ranks[-1] = 0
     out = {}
@@ -234,6 +239,52 @@ def homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict[int, in
         if d:
             out[k] = d
     return out
+
+
+def top_homology_degree(facets: Iterable[int], floor: int,
+                        field: FieldSpec = GF2) -> int | None:
+    """The largest k >= floor with dim H~_k != 0, over field, of the complex
+    generated by the face masks `facets` (which need not be maximal), or
+    None when there is none.
+
+    The degrees are tried from the top down: the k-faces are built from the
+    (k+1)-faces by dropping one vertex, plus the generators of k + 1
+    vertices, and dim H~_k = f_k - rank d_k - rank d_{k+1} takes d_{k+1}'s
+    rank from the step before. The search stops at the first nonzero
+    degree, so no face below dimension floor - 1, and none below the
+    answer's k - 1, is ever built. It also stops once the (k-1)-faces are
+    all C(v, k) k-subsets of the v vertices: below there the complex is
+    the full simplex, exact, so H~_j = 0 for j < k - 1, and
+    rank d_{k-1} = C(v - 1, k - 1) gives dim H~_{k-1} = C(v - 1, k) -
+    rank d_k with no further face built.
+    """
+    by_size: dict[int, set[int]] = {}
+    span = 0
+    for f in facets:
+        by_size.setdefault(f.bit_count(), set()).add(f)
+        span |= f
+    if not by_size:
+        return None
+    v = span.bit_count()
+    top = max(by_size) - 1
+    level = sorted(by_size[top + 1])
+    rank_above = 0
+    for k in range(top, floor - 1, -1):
+        below = by_size.get(k, set())
+        for f in level:
+            m = f
+            while m:
+                low = m & -m
+                m ^= low
+                below.add(f ^ low)
+        below = sorted(below)
+        rank = _boundary_rank(level, below, field)
+        if len(level) - rank - rank_above:
+            return k
+        if k - 1 >= floor and len(below) == comb(v, k):  # full skeleton
+            return k - 1 if comb(v - 1, k) - rank else None
+        level, rank_above = below, rank
+    return None
 
 
 def reduced_homology_dim(cx: SimplicialComplex, k: int,

@@ -9,7 +9,10 @@ enough to check matchings up to n of about 18; `induced_matching_branching`,
 a recursive branch and bound over the edges, is independent of the
 package's Bron-Kerbosch search on the conflict graph; `atlas_levels_unpruned`
 calls the package's public `canonical_bits`, whose own tests check it
-against brute-force isomorphism, and checks the atlas's orbit pruning.
+against brute-force isomorphism, and checks the atlas's orbit pruning;
+`dual_regularity_full` builds every non-cone cover's complex with the
+package's `from_facets` and `homology_dims`, whose own tests check them
+against brute force, and checks the dual search's order and stops.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from itertools import combinations
 
 from edgeideals.atlas import canonical_bits
 from edgeideals.graphs import Graph
+from edgeideals.homology import FieldSpec, SimplicialComplex, homology_dims
 
 
 def all_subsets(items):
@@ -302,6 +306,36 @@ def dual_regularity_naive(g: Graph, characteristic: int = 2) -> int:
     for w in all_subsets(range(g.n)):
         faces = [s for s in all_subsets(w) if not is_cover(g, s)]
         for k in homology_dims_naive(faces, characteristic):
+            reg_quotient = max(reg_quotient, k + 1)
+    return reg_quotient + 1
+
+
+def dual_regularity_full(g: Graph, characteristic: int = 2) -> int:
+    """reg of the cover ideal from the full homology of the non-cover
+    complex over every vertex cover W that is not a cone: W scanned as a
+    bitmask, the complex generated by W - A for the inclusion-minimal sets
+    A among the e & W, and a vertex of W in no minimal A marking a cone."""
+    field = FieldSpec(characteristic)
+    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    reg_quotient = 0
+    for w_mask in range(1 << g.n):
+        if not all(em & w_mask for em in edge_masks):
+            continue
+        # each e & W is one vertex or a whole edge; an edge is minimal
+        # unless one of its ends is such a vertex
+        cuts = {em & w_mask for em in edge_masks}
+        singles = 0
+        for a in cuts:
+            if not a & (a - 1):
+                singles |= a
+        minimal = [a for a in cuts if not a & (a - 1) or not a & singles]
+        covered = 0
+        for a in minimal:
+            covered |= a
+        if covered != w_mask:
+            continue
+        cx = SimplicialComplex.from_facets(w_mask & ~a for a in minimal)
+        for k in homology_dims(cx, field):
             reg_quotient = max(reg_quotient, k + 1)
     return reg_quotient + 1
 

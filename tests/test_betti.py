@@ -23,7 +23,8 @@ from edgeideals.graphs import (Graph, _components, disjoint_union,
 from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, homology_dims,
                                  independence_complex)
 from edgeideals.spectrum import build_pdr_graph, pdr_range
-from oracles import betti_table_naive, dual_regularity_naive
+from oracles import (betti_table_naive, dual_regularity_full,
+                     dual_regularity_naive)
 
 # Golden tables, confirmed by the naive oracle in
 # test_goldens_confirmed_by_naive_oracle before being frozen here.
@@ -428,6 +429,34 @@ def test_dual_regularity_equals_naive_oracle():
             for c in chars:
                 assert (dual_regularity(g, FieldSpec(c))
                         == dual_regularity_naive(g, c)), (g.edges, c)
+
+
+def test_dual_regularity_equals_full_homology_oracle():
+    # every non-cone cover's complex in full, against the search that stops
+    # at the first size whose dimension cannot beat the best degree found
+    for n in range(2, 8):
+        for g in enumerate_graphs(n, "no-isolated"):
+            for c in ((2, 3, 0) if n <= 6 else (2,)):
+                assert (dual_regularity(g, FieldSpec(c))
+                        == dual_regularity_full(g, c)), (g.edges, c)
+    for n in range(8, 12):
+        seeded = (random_graph(n, (.3, .5, .7)[s % 3], s) for s in range(40))
+        for g in [g for g in seeded if not isolated_vertices(g)][:3]:
+            for c in (2, 3, 0):
+                assert (dual_regularity(g, FieldSpec(c))
+                        == dual_regularity_full(g, c)), (g.edges, c)
+
+
+def test_dual_check_of_flag_rp2_depends_on_the_field():
+    # over GF(2) only K_V, the non-cover complex of I empty, reaches degree
+    # 7 (2-torsion); 61 other covers reach degree 6 over each field. K_V
+    # ties with the size-one covers and is visited after them, at floor 7,
+    # so a search that stops a degree early or drops a tied cover gives 8
+    g = from_graph6("JhW[X`LtKF?")
+    for field, want in ((GF2, 9), (QQ, 8)):
+        rep = dual_check(g, field)
+        assert (rep.reg_dual, rep.pd_primal) == (want, want), field
+        assert rep.tau_max <= want
 
 
 def test_terai_on_corpus(isolate_free_corpus):

@@ -9,7 +9,7 @@ from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, SimplicialComplex,
                                  _boundary_rank, _rank_sparse, homology_dims,
                                  independence_complex,
                                  reduced_euler_characteristic,
-                                 reduced_homology_dim)
+                                 reduced_homology_dim, top_homology_degree)
 from oracles import (_rank_fraction, _rank_modp, all_subsets,
                      homology_dims_naive, independent_sets_bruteforce)
 
@@ -119,10 +119,11 @@ def test_euler_poincare_everywhere(small_corpus):
 def test_rank_bound_invariant(small_corpus):
     for g in small_corpus[:30]:
         cx = independence_complex(g)
+        faces = cx.faces_by_dim
         for field in (GF2, GF3, QQ):
             for k in range(0, cx.dim + 1):
-                rk = _boundary_rank(cx, k, field)
-                rk1 = _boundary_rank(cx, k + 1, field)
+                rk = _boundary_rank(faces[k], faces[k - 1], field)
+                rk1 = _boundary_rank(faces.get(k + 1, []), faces[k], field)
                 assert rk + rk1 <= cx.face_count(k)
 
 
@@ -182,3 +183,15 @@ def test_from_facets_equals_bruteforce_closure(facets):
     for field in (GF2, GF3, QQ):
         assert homology_dims(cx, field) == homology_dims_naive(
             faces, field.characteristic)
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet_masks())
+def test_top_homology_degree_equals_full_homology(facets):
+    cx = SimplicialComplex.from_facets(facets)
+    for field in (GF2, GF3, QQ):
+        dims = homology_dims(cx, field)
+        for floor in range(-1, cx.dim + 2):
+            want = max((k for k in dims if k >= floor), default=None)
+            assert top_homology_degree(facets, floor, field) == want, (
+                floor, field)
