@@ -5,12 +5,11 @@ internal degree j is the sum, over all j-subsets W of the vertices, of
 dim H~_{j-i-1} of the independence complex of G[W] over the chosen field.
 betti_table is the one place that sum is evaluated; pd and reg, the pair
 the cover bounds are about, come from pd_reg_bounds when its box is a
-point and are read off betti_table's table otherwise. Every W, component
-and folded piece is a vertex mask of G itself, so the sum walks submasks
-of each component mask the leaf split leaves, and the few complexes it
-builds are independence_complex(g, w), with no relabeling; one memo, keyed
-on those masks, serves a whole betti_table call. Exact shortcuts that do
-not change any entry, over any field:
+point and are read off betti_table's table otherwise. Every component
+is a vertex mask of G itself, and the few complexes the sum builds are
+independence_complex(g, w), w the mask of W in G's labels, with no
+relabeling. Exact shortcuts that do not change any entry, over any
+field:
 
 * the sum factors over components: S/I(G + H) is the tensor product of
   S/I(G) and S/I(H) over disjoint sets of variables, so the Betti
@@ -23,45 +22,36 @@ not change any entry, over any field:
       B_M = B_{M - l} + s t^2 (1 + s t)^(d-1) B_{M - N[c]}.
   Sort the subsets W of M three ways. W without l gives the table of
   M - l. W with l but not c leaves l isolated: a cone, nothing. W with l
-  and c: every other neighbour of c in W is dominated by l and folds away,
-  which leaves the edge lc apart from G[W - N[c]], so Ind(G[W]) is the
+  and c: every other neighbour v of c in W has N(l) & W <= N(v) & W, so
+  it folds away (Engstrom's fold lemma, Discrete Math. 309, 2009), which
+  leaves the edge lc apart from G[W - N[c]], so Ind(G[W]) is the
   suspension of Ind(G[W - N[c]]); W holds k of the other d - 1
   neighbours of c in C(d-1, k) ways, each shifting (i, j) by
   (1 + k, 2 + k). Both masks are split into components and split
-  again; a component with no leaf goes to the subset sum, so a component
-  of m vertices visits at most 2^(m-1) + 2^(m-1-d) subsets, not 2^m;
-* the subsets of a leafless component M are grouped (Engstrom's fold
-  lemma, Discrete Math. 309, 2009): pairs u -> D(u) are picked once, each
-  v in D(u) with N(u) & M <= N(v) & M, no u in a D, the D disjoint. With
-  u in W, any S <= D(u) & W folds away one vertex at a time, since the
-  containment holds in every subset: W and W - S have the same homology,
-  |S| steps apart in i and j. So only the R with no D(u) & R for a u in R
-  are visited, each times (1 + s t)^e, e the size of the D(u) with u in R;
-* each W is folded first: by Engstrom's fold lemma, if N(u) <= N(v) for
-  u != v then Ind(G) and Ind(G - v) are homotopy equivalent, so dominated
-  vertices are dropped from W until none is left. A vertex of W with no
-  neighbour in W stops the fold: the complex is a cone over that vertex,
-  so W contributes nothing and no complex is built. Homology is then
-  computed once per folded subset, memoized for the duration of one call;
-* a folded W whose graph is disconnected is not built as one complex:
-  Ind(A + B) is the join Ind(A) * Ind(B), and over a field
-  H~_{k+1}(X * Y) is the sum over i + j = k of H~_i(X) (x) H~_j(Y). Each
-  piece is memoized on its own; it is fold-stable, since no vertex of a
-  piece has a neighbour outside it;
-* a folded W that is one piece is split at x, the least vertex of largest
-  degree in G[W] (the pivot of pd_reg_bounds; Adamaszek, J. Combin. Theory
-  Ser. A 119, 2012): in X = Ind(G[W]) the faces without x form
-  D = Ind(G[W - x]), those with x the cone x * L over L = Ind(G[W - N[x]]),
-  and D and the cone meet in L. The cone is acyclic, so the reduced
-  Mayer-Vietoris sequence reads
+  again; a component with no leaf goes to the subset table;
+* a leafless component M of m vertices gets one table hs of the nonzero
+  reduced homology of Ind(G[W]) for each of its 2^m subsets W, each entry
+  read off two smaller ones by a split at a vertex (Adamaszek, J. Combin.
+  Theory Ser. A 119, 2012). Take any x in W. In X = Ind(G[W]) the faces
+  without x form D = Ind(G[W - x]), those with x the cone x * L over
+  L = Ind(G[W - N[x]]), and D and the cone meet in L. The cone is
+  acyclic, so the reduced Mayer-Vietoris sequence reads
       .. -> H~_k(L) -> H~_k(D) -> H~_k(X) -> H~_{k-1}(L) -> H~_{k-1}(D) -> ..
   When no k has both H~_k(L) and H~_k(D) nonzero, every map H~_k(L) ->
   H~_k(D) is zero, the sequence breaks into short exact pieces
   0 -> H~_k(D) -> H~_k(X) -> H~_{k-1}(L) -> 0, and over a field
-  dim H~_k(X) = dim H~_k(D) + dim H~_{k-1}(L). D and L come from the
-  same memo, folded and split in turn, each a proper subset of W. Only when
-  some degree is shared, where the map may have any rank, is X built and
-  its homology computed.
+  dim H~_k(X) = dim H~_k(D) + dim H~_{k-1}(L). When some k has both, that
+  map may have any rank and the dimensions do not fix H~(X), so another
+  x is tried; only when every x of W shares a degree is X built and its
+  homology computed. An x with no neighbour in W makes X the cone x * D,
+  with no reduced homology. The vertices of M are numbered by ascending
+  degree in M, ties by label, and W runs over the local masks in
+  ascending order, so W - x and W - N[x], proper submasks, are filled
+  before W. The x are tried from W's top vertex down: first one of
+  largest degree in M, whose link W - N[x] is the smallest. hs holds 2^m
+  entries, the empty subset's being {-1: 1} and every cone's one shared
+  empty value, and each nonzero entry of W adds dim H~_k to
+  beta_{|W|-1-k, |W|}.
 
 pd_reg_bounds boxes pd and reg without visiting a subset, over every field:
 
@@ -176,48 +166,6 @@ class DualReport:
         return self.reg_dual >= self.tau_max
 
 
-def _fold(masks: tuple[int, ...], w_mask: int) -> int | None:
-    """W with dominated vertices folded away, or None when Ind(G[W]) is a
-    cone over a vertex isolated in W.
-
-    v is dominated by u when N(u) & W <= N(v) & W, that is when v is
-    adjacent to every neighbour of u in W. Every v that u dominates stays
-    dominated by u once the others are gone, so they are dropped together.
-    Dropping a vertex can only let its neighbours dominate more, so only
-    they are looked at again.
-    """
-    w = todo = w_mask
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        nu = masks[low.bit_length() - 1] & w
-        if not nu:
-            return None
-        dominated = w ^ low
-        while nu and dominated:
-            x = nu & -nu
-            dominated &= masks[x.bit_length() - 1]
-            nu ^= x
-        if dominated:
-            w ^= dominated
-            todo &= w
-            while dominated:
-                v = dominated & -dominated
-                todo |= masks[v.bit_length() - 1] & w
-                dominated ^= v
-    return w
-
-
-def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Reduced homology of the join X * Y over a field, from that of X and
-    Y: H~_{i+j+1}(X * Y) is the sum of H~_i(X) (x) H~_j(Y)."""
-    out: dict[int, int] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j + 1] = out.get(i + j + 1, 0) + x * y
-    return out
-
-
 def _pivot(masks: tuple[int, ...], w: int) -> tuple[int, int, int]:
     """(live, x, deg) for the vertex mask w: live holds the vertices with a
     neighbour in W, and x, a one-bit mask, is the least vertex of the
@@ -235,45 +183,48 @@ def _pivot(masks: tuple[int, ...], w: int) -> tuple[int, int, int]:
     return live, x, deg
 
 
-def _ind_homology(g: Graph, w_mask: int, field: FieldSpec,
-                  memo: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Nonzero reduced homology of Ind(G[W]), memoized in `memo` by the
-    folded subset and by each of its connected pieces.
-
-    A disconnected folded W is the join of its pieces. A connected one is
-    split at the pivot x of _pivot: H~_k = H~_k(W - x) + H~_{k-1}(W - N[x]),
-    both from this function, unless the two share a degree, in which case
-    Ind(G[W]) is built (see the module docstring)."""
-    w = _fold(g.masks, w_mask)
-    if w is None:
-        return {}
-    hit = memo.get(w)
-    if hit is None:
-        pieces = _components(g.masks, w)
-        if len(pieces) == 1:
-            _, x, _ = _pivot(g.masks, w)
-            hit = dict(_ind_homology(g, w ^ x, field, memo))
-            link = _ind_homology(
-                g, w & ~x & ~g.masks[x.bit_length() - 1], field, memo)
-            if any(k in hit for k in link):
-                hit = homology_dims(independence_complex(g, w), field)
-            else:
+def _homology_table(g: Graph, w: int, field: FieldSpec
+                    ) -> list[dict[int, int]]:
+    """hs[s] for each subset W of the vertex mask w: the nonzero reduced
+    homology of Ind(G[W]), s the local mask of W, with bit i for the i-th
+    vertex of w by ascending degree in G[w], ties by label (see the module
+    docstring). Entries are shared, so none may be changed."""
+    masks = g.masks
+    verts = sorted(_bits(w), key=lambda v: ((masks[v] & w).bit_count(), v))
+    nbrs = [sum(1 << i for i, u in enumerate(verts) if masks[v] >> u & 1)
+            for v in verts]
+    hs: list[dict[int, int]] = [{}] * (1 << len(verts))
+    hs[0] = {-1: 1}
+    for s in range(1, len(hs)):
+        rest = s
+        while rest:
+            y = rest.bit_length() - 1
+            nb = nbrs[y] & s
+            if not nb:
+                break  # a cone
+            bit = 1 << y
+            dele, link = hs[s ^ bit], hs[s & ~nb ^ bit]
+            if not link:
+                hs[s] = dele
+                break
+            if link.keys().isdisjoint(dele):
+                out = dict(dele)
                 for k, dim in link.items():
-                    hit[k + 1] = hit.get(k + 1, 0) + dim
+                    out[k + 1] = out.get(k + 1, 0) + dim
+                hs[s] = out
+                break
+            rest ^= bit
         else:
-            hit = {-1: 1}
-            for piece in pieces:
-                hit = _join(hit, _ind_homology(g, piece, field, memo))
-                if not hit:
-                    break
-        memo[w] = hit
-    return hit
+            hs[s] = homology_dims(independence_complex(
+                g, sum(1 << v for i, v in enumerate(verts) if s >> i & 1)),
+                field)
+    return hs
 
 
 def hochster_summand(g: Graph, vertices, field: FieldSpec = GF2) -> dict[int, int]:
     """The inner Hochster term for one subset: nonzero reduced homology
-    dimensions of the independence complex of G[W]. |W| is held to the
-    cap of betti_table."""
+    dimensions of the independence complex of G[W], the entry of W in the
+    subset table over W itself. |W| is held to the cap of betti_table."""
     w = set(vertices)
     if w and (min(w) < 0 or max(w) >= g.n):
         raise ParameterRangeError(f"subset out of range for n={g.n}")
@@ -281,64 +232,21 @@ def hochster_summand(g: Graph, vertices, field: FieldSpec = GF2) -> dict[int, in
     mask = 0
     for v in w:
         mask |= 1 << v
-    return _ind_homology(g, mask, field, {})
+    return dict(_homology_table(g, mask, field)[-1])
 
 
-def _dominations(masks: tuple[int, ...], comp: int) -> list[tuple[int, int]]:
-    """Pairs (u, D(u)) for _subset_sum, u as a one-bit mask: N(u) & comp is
-    nonempty and inside N(v) for each v in D(u), no u lies in a D, and the
-    D are disjoint. One greedy pass in vertex order."""
-    pairs = []
-    used = 0
-    for v in _bits(comp):
-        u = 1 << v
-        nu = masks[v] & comp
-        dom = comp & ~used & ~u if nu and not used & u else 0
-        for x in _bits(nu):
-            dom &= masks[x]
-        if dom:
-            pairs.append((u, dom))
-            used |= u | dom
-    return pairs
-
-
-def _subset_sum(g: Graph, comp: int, field: FieldSpec,
-                memo: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
-    """Hochster's sum over the subsets W of the vertex mask comp, in g's own
-    labels, visiting only the admissible W of the grouping by the pairs of
-    _dominations: W = B | X, B a submask of comp minus D, the union of the
-    D(u), and X one of the union F of the D(u) with u not in B, weighted by
-    (1 + s t)^e with e = |D| - |F|."""
-    pairs = _dominations(g.masks, comp)
-    dominated = sum(dom for _, dom in pairs)
-    by_e: dict[int, dict[tuple[int, int], int]] = {}
-    base = b = comp & ~dominated
-    while True:
-        free = 0
-        for u, dom in pairs:
-            if not b & u:
-                free |= dom
-        e = dominated.bit_count() - free.bit_count()
-        entries = by_e.setdefault(e, {})
-        x = free
-        while True:
-            w = b | x
-            j = w.bit_count()
-            for k, dim in _ind_homology(g, w, field, memo).items():
+def _subset_sum(g: Graph, comp: int, field: FieldSpec
+                ) -> dict[tuple[int, int], int]:
+    """Hochster's sum over the subsets W of the vertex mask comp, read off
+    the subset table of _homology_table."""
+    entries: dict[tuple[int, int], int] = {}
+    for s, h in enumerate(_homology_table(g, comp, field)):
+        if h:
+            j = s.bit_count()
+            for k, dim in h.items():
                 key = (j - 1 - k, j)
                 entries[key] = entries.get(key, 0) + dim
-            if not x:
-                break
-            x = (x - 1) & free
-        if not b:
-            break
-        b = (b - 1) & base
-    total = by_e.pop(0)  # B empty leaves every D(u) free
-    for e, entries in by_e.items():
-        step = {(k, k): comb(e, k) for k in range(e + 1)}
-        for key, y in _tensor(step, entries).items():
-            total[key] = total.get(key, 0) + y
-    return total
+    return entries
 
 
 def _tensor(a: dict[tuple[int, int], int],
@@ -365,25 +273,24 @@ def _least_leaf(masks: tuple[int, ...], comp: int) -> int:
     return 0
 
 
-def _table(g: Graph, mask: int, field: FieldSpec,
-           memo: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
+def _table(g: Graph, mask: int, field: FieldSpec
+           ) -> dict[tuple[int, int], int]:
     """Betti table of G[mask]: the product of the tables of its components,
     an isolated vertex being a factor of 1."""
     entries = {(0, 0): 1}
     for comp in _components(g.masks, mask):
         if comp & (comp - 1):
-            entries = _tensor(entries, _component_table(g, comp, field, memo))
+            entries = _tensor(entries, _component_table(g, comp, field))
     return entries
 
 
-def _component_table(g: Graph, comp: int, field: FieldSpec,
-                     memo: dict[int, dict[int, int]]
+def _component_table(g: Graph, comp: int, field: FieldSpec
                      ) -> dict[tuple[int, int], int]:
     """Betti table of G[comp] for a connected vertex mask comp, by the leaf
     split: while comp has a leaf l, with neighbour c of degree d in comp,
     B_comp = B_{comp - l} + s t^2 (1 + s t)^(d-1) B_{comp - N[c]}. Removing
     a leaf keeps comp connected, so the first term is split again in turn;
-    once no leaf is left, the subset sum gives it."""
+    once no leaf is left, the subset table gives it."""
     masks = g.masks
     parts = []
     while leaf := _least_leaf(masks, comp):
@@ -391,9 +298,9 @@ def _component_table(g: Graph, comp: int, field: FieldSpec,
         near = masks[c.bit_length() - 1] & comp
         d = near.bit_count()
         step = {(1 + k, 2 + k): comb(d - 1, k) for k in range(d)}
-        parts.append(_tensor(step, _table(g, comp & ~near & ~c, field, memo)))
+        parts.append(_tensor(step, _table(g, comp & ~near & ~c, field)))
         comp ^= leaf
-    entries = _subset_sum(g, comp, field, memo)
+    entries = _subset_sum(g, comp, field)
     for part in parts:
         for key, x in part.items():
             entries[key] = entries.get(key, 0) + x
@@ -402,7 +309,7 @@ def _component_table(g: Graph, comp: int, field: FieldSpec,
 
 def betti_table(g: Graph, field: FieldSpec = GF2) -> BettiTable:
     _check_cap(g.n, "betti_table")
-    entries = _table(g, (1 << g.n) - 1, field, {})
+    entries = _table(g, (1 << g.n) - 1, field)
     pd = max(i for i, _ in entries)
     reg = max(j - i for i, j in entries)
     return BettiTable(n=g.n, characteristic=field.characteristic,

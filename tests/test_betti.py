@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from edgeideals import betti as betti_module
 from edgeideals.atlas import enumerate_graphs, random_graph
-from edgeideals.betti import (_dominations, _ind_homology, _tensor,
-                              betti_json_dict, betti_table, dual_check,
-                              dual_regularity, field_disagreements,
-                              hochster_summand, pd_and_reg, pd_reg_bounds,
-                              proj_dim, regularity, render_betti_ascii)
+from edgeideals.betti import (_homology_table, _tensor, betti_json_dict,
+                              betti_table, dual_check, dual_regularity,
+                              field_disagreements, hochster_summand,
+                              pd_and_reg, pd_reg_bounds, proj_dim,
+                              regularity, render_betti_ascii)
 from edgeideals.covers import induced_matching_number, matching_number, tau_max
 from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_bipartite, complete_graph,
                                  cycle_graph, path_graph, pendant_clique,
                                  two_k2)
 from edgeideals.gio import from_graph6
-from edgeideals.graphs import (Graph, _components, disjoint_union,
-                               induced_subgraph, is_chordal, isolated_vertices)
+from edgeideals.graphs import (Graph, disjoint_union, induced_subgraph,
+                               is_chordal, isolated_vertices)
 from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, homology_dims,
                                  independence_complex)
 from edgeideals.spectrum import build_pdr_graph, pdr_range
@@ -39,6 +39,18 @@ GOLDEN_G14 = {
     (5, 6): 31, (5, 7): 1043, (5, 8): 250, (6, 7): 4, (6, 8): 789,
     (6, 9): 399, (7, 9): 347, (7, 10): 383, (8, 10): 82, (8, 11): 224,
     (9, 11): 8, (9, 12): 77, (10, 13): 14, (11, 14): 1,
+}
+# betti_table(random_graph(16, .5, 1)) over GF(2) and over Q, computed by
+# the engine that folded each subset and grouped dominated vertices.
+GOLDEN_G16 = {
+    (0, 0): 1, (1, 2): 56, (2, 3): 310, (2, 4): 78, (3, 4): 790,
+    (3, 5): 751, (3, 6): 9, (4, 5): 1138, (4, 6): 3146, (4, 7): 82,
+    (5, 6): 1014, (5, 7): 7538, (5, 8): 336, (6, 7): 603, (6, 8): 11639,
+    (6, 9): 815, (7, 8): 248, (7, 9): 12390, (7, 10): 1295, (8, 9): 69,
+    (8, 10): 9425, (8, 11): 1407, (9, 10): 12, (9, 11): 5204,
+    (9, 12): 1057, (10, 11): 1, (10, 12): 2091, (10, 13): 541,
+    (11, 13): 606, (11, 14): 180, (12, 14): 123, (12, 15): 35,
+    (13, 15): 16, (13, 16): 3, (14, 16): 1,
 }
 
 
@@ -91,14 +103,22 @@ def test_engine_equals_naive_oracle_every_graph_to_n6():
                 assert pd_and_reg(g, field) == (t.pd, t.reg), (g.edges, c)
 
 
+def _table_by_mask(g, field):
+    """The subset table over all of g, keyed by g's own vertex masks: bit
+    i of a local mask is the i-th vertex by ascending degree, ties by
+    label."""
+    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    return {sum(1 << v for i, v in enumerate(order) if s >> i & 1): h
+            for s, h in enumerate(_homology_table(g, (1 << g.n) - 1, field))}
+
+
 def _plain_sum(g, field):
-    """Hochster's sum over every subset W of the vertices, one
-    _ind_homology call each: no components, no leaf split, no grouping."""
+    """Hochster's sum over every subset W of the vertices, read off one
+    subset table over all of g: no components and no leaf split."""
     entries = {}
-    memo = {}
-    for w in range(1 << g.n):
+    for w, h in _table_by_mask(g, field).items():
         j = w.bit_count()
-        for k, dim in _ind_homology(g, w, field, memo).items():
+        for k, dim in h.items():
             entries[j - 1 - k, j] = entries.get((j - 1 - k, j), 0) + dim
     return entries
 
@@ -165,38 +185,6 @@ def test_leaf_split_identity_on_naive_oracle(g, c):
         assert split == table, (g.edges, leaf)
 
 
-def _assert_valid_pairs(masks, comp):
-    pairs = _dominations(masks, comp)
-    us = doms = 0
-    for u, dom in pairs:
-        assert u & comp and not u & (u - 1) and dom and not dom & ~comp
-        nu = masks[u.bit_length() - 1] & comp
-        assert nu
-        for v in range(len(masks)):
-            if dom >> v & 1:
-                assert not nu & ~masks[v], "v is not dominated by u"
-                assert not masks[v] & u, "u is adjacent to v"
-        assert not doms & dom, "two D(u) meet"
-        us |= u
-        doms |= dom
-    assert not us & doms, "a vertex is both a u and in some D(u)"
-    return pairs
-
-
-def test_dominations_are_valid_pairs_every_graph_to_n7():
-    for n in range(8):
-        for g in enumerate_graphs(n):
-            full = (1 << n) - 1
-            for comp in _components(g.masks, full) + [full]:
-                _assert_valid_pairs(g.masks, comp)
-    # the open twins of C4 and K_{3,3}: 0 -> {2} and 1 -> {3}; 0 -> {1, 2}
-    # and 3 -> {4, 5}
-    assert _assert_valid_pairs(cycle_graph(4).masks, 0b1111) == [
-        (0b1, 0b100), (0b10, 0b1000)]
-    assert _assert_valid_pairs(complete_bipartite(3, 3).masks, 0b111111) == [
-        (0b1, 0b110), (0b1000, 0b110000)]
-
-
 @st.composite
 def graph_with_dominations(draw):
     """A random graph on up to 5 vertices plus up to 3 more, each joined
@@ -221,10 +209,7 @@ def graph_with_dominations(draw):
 
 @given(graph_with_dominations())
 @settings(max_examples=40, deadline=None)
-def test_grouping_equals_naive_oracle_on_planted_dominations(g):
-    full = (1 << g.n) - 1
-    for comp in _components(g.masks, full) + [full]:
-        _assert_valid_pairs(g.masks, comp)
+def test_table_equals_naive_oracle_on_planted_dominations(g):
     for c in (2, 3, 0):
         assert (betti_table(g, FieldSpec(c)).entries
                 == betti_table_naive(g, c)), (g.edges, c)
@@ -279,15 +264,15 @@ def test_folding_keeps_homology(case, c):
 
 
 def test_split_equals_complex_every_graph_to_n6():
-    # the link-deletion split of _ind_homology against the complex itself,
-    # for every W of every graph with n <= 6 and over three fields
+    # each entry of the subset table against the complex itself, for every
+    # W of every graph with n <= 6 and over three fields
     for n in range(7):
         for g in enumerate_graphs(n):
+            tables = {f: _table_by_mask(g, f) for f in (GF2, GF3, QQ)}
             for w in range(1 << n):
                 cx = independence_complex(g, w)
-                for field in (GF2, GF3, QQ):
-                    assert (_ind_homology(g, w, field, {})
-                            == homology_dims(cx, field)), (g.edges, w)
+                for field, table in tables.items():
+                    assert table[w] == homology_dims(cx, field), (g.edges, w)
 
 
 @st.composite
@@ -303,15 +288,16 @@ def random_graph_and_mask(draw):
 def test_split_equals_complex_on_random_graphs(case, c):
     g, w = case
     field = FieldSpec(c)
-    assert (_ind_homology(g, w, field, {})
+    assert (_table_by_mask(g, field)[w]
             == homology_dims(independence_complex(g, w), field))
 
 
 def test_split_overlap_falls_back_to_the_complex(monkeypatch):
-    # GQ~vvg is the one class with n <= 8 whose sum meets a W where
-    # H~(Ind(G[W - N[x]])) and H~(Ind(G[W - x])) share a degree; the flag
-    # RP^2 graph meets two. There the split builds the complex, and the
-    # tables still equal the naive sum over every field.
+    # GQ~vvg is the one class with n <= 8 whose subset table meets a W
+    # where H~(Ind(G[W - N[x]])) and H~(Ind(G[W - x])) share a degree at
+    # every vertex x of W; the flag RP^2 graph meets one too. In both W is
+    # the whole vertex set, so exactly one complex is built per field, and
+    # the tables still equal the naive sum over every field.
     built = []
 
     def counted(*args):
@@ -320,7 +306,7 @@ def test_split_overlap_falls_back_to_the_complex(monkeypatch):
 
     monkeypatch.setattr(betti_module, "independence_complex", counted)
     for g6, fallbacks, pairs in (("GQ~vvg", 1, ((7, 2),) * 3),
-                                 ("JhW[X`LtKF?", 2, ((9, 3), (8, 2), (8, 2)))):
+                                 ("JhW[X`LtKF?", 1, ((9, 3), (8, 2), (8, 2)))):
         g = from_graph6(g6)
         for c, pair in zip((2, 3, 0), pairs):
             built.clear()
@@ -334,6 +320,14 @@ def test_g14_table_pinned_and_field_independent():
     g = random_graph(14, .3, 7)
     assert betti_table(g).entries == GOLDEN_G14
     assert betti_table(g, QQ).entries == GOLDEN_G14
+
+
+def test_g16_table_at_the_cap_pinned_and_field_independent():
+    # the naive oracle cannot reach n = 16, the default Betti cap, where the
+    # subset table of one leafless component has 2^16 entries
+    g = random_graph(16, .5, 1)
+    assert betti_table(g).entries == GOLDEN_G16
+    assert betti_table(g, QQ).entries == GOLDEN_G16
 
 
 def test_fast_path_matches_full_table(small_corpus):
@@ -366,7 +360,7 @@ def test_hochster_summand():
     assert hochster_summand(k2, (0, 1)) == {0: 1}
     c4 = cycle_graph(4)
     assert hochster_summand(c4, range(4)) == {0: 1}
-    # two pieces: Ind(2K2) = S^0 * S^0 = S^1, by the join formula
+    # two pieces: Ind(2K2) = S^0 * S^0 = S^1
     assert hochster_summand(two_k2(), range(4)) == {1: 1}
     assert hochster_summand(c4, ()) == {-1: 1}
     with pytest.raises(ParameterRangeError):
