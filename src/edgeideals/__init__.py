@@ -7,9 +7,8 @@ plus isomorph-free enumeration and the verification harnesses built on top.
 """
 
 from .errors import GraphParseError, ParameterRangeError, ResourceLimitError
-from .graphs import (Graph, complement, disjoint_union, induced_subgraph,
-                     is_bipartite, is_chordal, is_connected, is_gap_free,
-                     isolated_vertices, relabel)
+from .graphs import (Graph, complement, is_bipartite, is_chordal,
+                     is_connected, is_gap_free, isolated_vertices)
 from .families import (FamilySpec, build_family, complete_bipartite,
                        complete_graph, cycle_graph, extremal_pendant_clique,
                        parse_family, path_graph, pendant_clique, two_k2)
@@ -21,10 +20,9 @@ from .covers import (CoverReport, cover_report, enumerate_minimal_covers,
                      maximal_independent_sets, tau_max)
 from .homology import (GF2, GF3, QQ, FieldSpec, SimplicialComplex,
                        homology_dims, independence_complex,
-                       reduced_euler_characteristic, reduced_homology_dim)
+                       reduced_euler_characteristic)
 from .betti import (BettiTable, DualReport, betti_table, dual_check,
-                    field_disagreements, hochster_summand, pd_and_reg,
-                    proj_dim, regularity, render_betti_ascii)
+                    field_disagreements, pd_and_reg, render_betti_ascii)
 from .spectrum import (SpectrumPlan, build_pdr_graph, build_spectrum_graph,
                        cover_lower_bound, pdr_range, plan_spectrum)
 from .atlas import (CanonicalForm, FamilyTag, canonical_form,

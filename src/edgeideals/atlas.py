@@ -804,14 +804,15 @@ class SpectrumCheck:
         return json.dumps({**asdict(self), "ok": self.ok})
 
 
-def verify_spectrum(n_max: int, field: FieldSpec = GF2
-                    ) -> list[SpectrumCheck]:
+def verify_spectrum(n_max: int) -> list[SpectrumCheck]:
     """Build every legal (n, p) spectrum graph for n = 2..n_max and check
     tau_max = p, chordality and gap-freeness; for n up to the Betti cap in
     force (EDGEIDEALS_MAX_BETTI_N) also check (pd, reg) = (p, 1) through
-    betti.pd_and_reg. The complement of each of these graphs is chordal,
-    so the pair is the closed form of pd_reg_bounds, with no subset
-    visited; `edgeideals betti` gives the Hochster sum's pair."""
+    betti.pd_and_reg. Each of these graphs is a split graph: a clique,
+    and its leaves an independent set. So is its complement, with the
+    roles swapped, and split graphs are chordal, so the pair is the
+    closed form of pd_reg_bounds, the same over every field, with no
+    subset visited; `edgeideals betti` gives the Hochster sum's pair."""
     if n_max < 2:
         raise ParameterRangeError(
             f"verify_spectrum needs n_max >= 2, got {n_max}")
@@ -823,7 +824,7 @@ def verify_spectrum(n_max: int, field: FieldSpec = GF2
             assert g.n == n
             pd = reg = None
             if n <= homology_n:
-                pd, reg = betti.pd_and_reg(g, field)
+                pd, reg = betti.pd_and_reg(g)
             out.append(SpectrumCheck(
                 n=n, p=p, tau_max=covers.tau_max(g),
                 chordal=is_chordal(g), gap_free=is_gap_free(g),

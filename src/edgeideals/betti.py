@@ -112,7 +112,7 @@ from math import comb
 
 from . import covers
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
-from .graphs import (Graph, _bits, _chordal_separator, _components,
+from .graphs import (Graph, _bits, _chordal_separator, _components, _pivot,
                      complement)
 from .homology import (GF2, FieldSpec, homology_dims, independence_complex,
                        top_homology_degree)
@@ -166,23 +166,6 @@ class DualReport:
         return self.reg_dual >= self.tau_max
 
 
-def _pivot(masks: tuple[int, ...], w: int) -> tuple[int, int, int]:
-    """(live, x, deg) for the vertex mask w: live holds the vertices with a
-    neighbour in W, and x, a one-bit mask, is the least vertex of the
-    largest degree deg in G[W] (x = deg = 0 when W has no edge)."""
-    live = x = deg = 0
-    m = w
-    while m:
-        low = m & -m
-        d = (masks[low.bit_length() - 1] & w).bit_count()
-        if d:
-            live |= low
-            if d > deg:
-                deg, x = d, low
-        m ^= low
-    return live, x, deg
-
-
 def _homology_table(g: Graph, w: int, field: FieldSpec
                     ) -> list[dict[int, int]]:
     """hs[s] for each subset W of the vertex mask w: the nonzero reduced
@@ -219,20 +202,6 @@ def _homology_table(g: Graph, w: int, field: FieldSpec
                 g, sum(1 << v for i, v in enumerate(verts) if s >> i & 1)),
                 field)
     return hs
-
-
-def hochster_summand(g: Graph, vertices, field: FieldSpec = GF2) -> dict[int, int]:
-    """The inner Hochster term for one subset: nonzero reduced homology
-    dimensions of the independence complex of G[W], the entry of W in the
-    subset table over W itself. |W| is held to the cap of betti_table."""
-    w = set(vertices)
-    if w and (min(w) < 0 or max(w) >= g.n):
-        raise ParameterRangeError(f"subset out of range for n={g.n}")
-    _check_cap(len(w), "hochster_summand")
-    mask = 0
-    for v in w:
-        mask |= 1 << v
-    return dict(_homology_table(g, mask, field)[-1])
 
 
 def _subset_sum(g: Graph, comp: int, field: FieldSpec
@@ -376,14 +345,6 @@ def pd_reg_bounds(g: Graph) -> tuple[int, int, int, int]:
     pd_hi, reg_hi = upper((1 << g.n) - 1)
     return (covers.tau_max(g), pd_hi,
             max(2, covers.induced_matching_number(g)), reg_hi)
-
-
-def proj_dim(g: Graph, field: FieldSpec = GF2) -> int:
-    return pd_and_reg(g, field)[0]
-
-
-def regularity(g: Graph, field: FieldSpec = GF2) -> int:
-    return pd_and_reg(g, field)[1]
 
 
 def dual_regularity(g: Graph, field: FieldSpec = GF2) -> int:

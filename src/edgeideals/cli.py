@@ -17,7 +17,7 @@ verify harnesses take:
 
     verify bound --n N (--exhaustive | --samples K) [--seed S]
     verify classification --n N
-    verify spectrum --n N [--char C]
+    verify spectrum --n N
     verify pdr-spec --n N [--char C] [--format csv|json]
 """
 
@@ -59,16 +59,17 @@ def _read_graph(args) -> graphs.Graph:
 def _cmd_invariants(args) -> int:
     g = _read_graph(args)
     rep = covers.cover_report(g)
+    induced = covers.induced_matching_number(g)
     record = {
         "n": g.n,
         "m": g.m,
         "tau_max": rep.tau_max,
         "i": rep.i_min,
         "matching": covers.matching_number(g),
-        "induced_matching": covers.induced_matching_number(g),
+        "induced_matching": induced,
         "num_minimal_covers": rep.num_minimal_covers,
         "chordal": graphs.is_chordal(g),
-        "gap_free": graphs.is_gap_free(g),
+        "gap_free": induced <= 1,  # see graphs.is_gap_free
         "bipartite": graphs.is_bipartite(g),
         "connected": graphs.is_connected(g),
         "witness_cover": list(rep.witness_cover),
@@ -122,7 +123,7 @@ def _cmd_verify_classification(args) -> int:
 
 
 def _cmd_verify_spectrum(args) -> int:
-    checks = atlas.verify_spectrum(args.n, homology.FieldSpec(args.char))
+    checks = atlas.verify_spectrum(args.n)
     for check in checks:
         print(check.json_line())
     return EXIT_OK if all(check.ok for check in checks) else EXIT_COUNTEREXAMPLE
@@ -204,8 +205,7 @@ def build_parser() -> _Parser:
     mode.add_argument("--samples", type=int, metavar="K")
     p.add_argument("--seed", type=int, metavar="S")
     add_harness("classification", _cmd_verify_classification, "n")
-    p = add_harness("spectrum", _cmd_verify_spectrum, "maximum n")
-    p.add_argument("--char", type=int, default=2)
+    add_harness("spectrum", _cmd_verify_spectrum, "maximum n")
     p = add_harness("pdr-spec", _cmd_verify_pdr_spec, "n")
     p.add_argument("--char", type=int, default=2)
     p.add_argument("--format", choices=("json", "csv"), default="csv")

@@ -2,9 +2,9 @@
 
 Minimal vertex covers are the complements of maximal independent sets. An
 iterative Bron-Kerbosch search lists those sets for the two listing APIs;
-`tau_max` and `cover_report` run the same branching but only count, with
-each (P, X) state solved once per call. Induced matchings are the
-independent sets of the conflict graph on the edges (Cameron, *Induced
+`tau_max` and `cover_report` run the same branch step, `_branch`, but only
+count, with each (P, X) state solved once per call. Induced matchings are
+the independent sets of the conflict graph on the edges (Cameron, *Induced
 matchings*, Discrete Appl. Math. 24, 1989), so the induced matching number
 is that graph's independence number, found by a clique-bounded branch and
 bound (MCQ, Tomita and Seki, DMTCS 2003). Desk scale: roughly n <= 40 for
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError, resolve_cap
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _pivot
 
 # The listing search on tens of vertices lists about 250k sets a second, so
 # this stops it after about 4 s. The counting search merges equal states and
@@ -85,6 +85,28 @@ def _mis_cap(masks: Sequence[int]) -> int:
     return cap
 
 
+def _branch(comp: Sequence[int], p: int, x: int) -> int:
+    """The vertices a Bron-Kerbosch state (P, X) branches on, P & N[u] for
+    its pivot u, as a mask; `comp` holds the complement's adjacency masks.
+    u is the least vertex of P | X with the most vertices of P outside
+    N[u]. That is all of P only when u is in X with no neighbour in P;
+    then no maximal independent set lies below the state, the scan stops
+    at u, and the answer is 0."""
+    in_p = p.bit_count()
+    pool = p | x
+    best_out = -1
+    while pool:
+        low = pool & -pool
+        v = low.bit_length() - 1
+        out = (comp[v] & p).bit_count()
+        if out > best_out:
+            if out == in_p:
+                return 0
+            best, best_out = v, out
+        pool ^= low
+    return p & ~comp[best]
+
+
 def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
     """Maximal independent sets of the graph with adjacency masks `masks`,
     as bitmasks, in no particular order, for the two listing APIs.
@@ -92,9 +114,7 @@ def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
     Bron-Kerbosch with pivoting on the complement, whose cliques are the
     independent sets, on an explicit stack of (r, p, x) frames. Isolated
     vertices lie in every maximal independent set, so they start in r.
-    The pivot u in p | x is the least with the most vertices of p outside
-    N[u]. All of p only when u is in x with no neighbour in p; then no
-    set lies below the state, and the scan stops at that u.
+    Each state branches on `_branch`'s vertices.
 
     Raises ResourceLimitError when there are more sets than `_mis_cap`.
     """
@@ -112,21 +132,7 @@ def _mis_masks(masks: Sequence[int]) -> Iterator[int]:
                 raise _too_many_sets(cap)
             yield r
             continue
-        in_p = p.bit_count()
-        pool = p | x
-        best_out = -1
-        while pool:
-            low = pool & -pool
-            v = low.bit_length() - 1
-            out = (comp[v] & p).bit_count()
-            if out > best_out:
-                best, best_out = v, out
-                if out == in_p:
-                    break
-            pool ^= low
-        if best_out == in_p:
-            continue
-        cand = p & ~comp[best]
+        cand = _branch(comp, p, x)
         children = []
         while cand:
             low = cand & -cand
@@ -142,17 +148,14 @@ def _mis_summary(masks: Sequence[int]) -> tuple[int, int, int]:
     """(count, least size, witness mask) of the maximal independent sets
     of the graph with adjacency masks `masks`, without listing them.
 
-    The branching is `_mis_masks`'s. At a state (P, X) the pivot u in
-    P | X has the fewest vertices of P in N[u], and the search branches on
-    P & N[u]; a u in X with none ends the state with no set. Every set
-    below a state is the chosen prefix plus a set that depends on (P, X)
-    alone, so each state's summary is computed once per call and memoized,
-    on an explicit stack of open frames. The witness is of least size
-    and, of two such, the one lacking the least vertex where they differ,
-    so its complement is the lexicographically least largest minimal
-    cover; the comparison ignores the shared prefix, so it carries from
-    child to parent. Isolated vertices lie in every set and are taken up
-    front.
+    The branching is `_branch`'s. Every set below a state is the chosen
+    prefix plus a set that depends on (P, X) alone, so each state's
+    summary is computed once per call and memoized, on an explicit stack
+    of open frames. The witness is of least size and, of two such, the
+    one lacking the least vertex where they differ, so its complement is
+    the lexicographically least largest minimal cover; the comparison
+    ignores the shared prefix, so it carries from child to parent.
+    Isolated vertices lie in every set and are taken up front.
 
     Raises ResourceLimitError, before the search when `_mis_cap` finds an
     induced matching that proves more sets than the cap, else as soon as
@@ -174,10 +177,8 @@ def _mis_summary(masks: Sequence[int]) -> tuple[int, int, int]:
     # The open frame is in the f* locals: its memo key X << n | P, the P
     # and X its next child is cut from, the branch vertices left and its
     # summary so far. The stack holds the frames below it, each with the
-    # bit of the child it waits on. A pivot u has the most vertices of P
-    # outside N[u]; all of P only when u is in X with no neighbour in P.
-    fkey, fp, fx = p, p, 0
-    fcand = p & ~comp[max(_bits(p), key=lambda v: (comp[v] & p).bit_count())]
+    # bit of the child it waits on.
+    fkey, fp, fx, fcand = p, p, 0, _branch(comp, p, 0)
     fcount, fsize, fwit = 0, n + 1, 0
     while True:
         if fcand:
@@ -195,23 +196,12 @@ def _mis_summary(masks: Sequence[int]) -> tuple[int, int, int]:
                 key = x << n | p
                 r = memo.get(key)
                 if r is None:
-                    in_p = p.bit_count()
-                    pool = p | x
-                    best_out = -1
-                    while pool:
-                        bit = pool & -pool
-                        v = bit.bit_length() - 1
-                        out = (comp[v] & p).bit_count()
-                        if out > best_out:
-                            best, best_out = v, out
-                            if out == in_p:
-                                break
-                        pool ^= bit
-                    if best_out == in_p:
+                    cand = _branch(comp, p, x)
+                    if not cand:
                         memo[key] = (0, 0, 0)
                         continue
                     stack.append((fkey, fp, fx, fcand, fcount, fsize, fwit, low))
-                    fkey, fp, fx, fcand = key, p, x, p & ~comp[best]
+                    fkey, fp, fx, fcand = key, p, x, cand
                     fcount, fsize, fwit = 0, n + 1, 0
                     continue
                 count, size, wit = r
@@ -290,17 +280,19 @@ def _independence_number(masks: Sequence[int]) -> int:
 
 def _greedy_independent(masks: Sequence[int]) -> int:
     """A maximal independent set of the graph with adjacency masks
-    `masks`, as a bitmask: take the vertex with the most neighbours left,
-    the least one on ties, drop its closed neighbourhood, and repeat until
-    no vertex is left. Its complement is a minimal cover, so n minus its
-    size is a lower bound on tau_max."""
+    `masks`, as a bitmask: take `_pivot`'s vertex, the one with the most
+    neighbours left, the least one on ties, and drop its closed
+    neighbourhood; once no edge is left, the vertices left join the set.
+    Its complement is a minimal cover, so n minus its size is a lower
+    bound on tau_max."""
     left = (1 << len(masks)) - 1
     chosen = 0
-    while left:
-        v = max(_bits(left), key=lambda u: (masks[u] & left).bit_count())
-        chosen |= 1 << v
-        left &= ~(masks[v] | 1 << v)
-    return chosen
+    while True:
+        live, x, _ = _pivot(masks, left)
+        if not live:
+            return chosen | left
+        chosen |= x
+        left &= ~(masks[x.bit_length() - 1] | x)
 
 
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:

@@ -1,10 +1,10 @@
 """Immutable simple graphs on vertex labels 0..n-1, with structural
-predicates and transforms.
+predicates and the complement.
 
 A vertex set is an int mask in the graph's own labels (bit v for vertex
-v), here and in every layer above: the predicates, `_components` and the
-Hochster sum in `betti` all read `Graph.masks` directly, so none of them
-builds a relabeled `induced_subgraph` to work on.
+v), here and in every layer above: the predicates, `_components`,
+`_pivot` and the Hochster sum in `betti` all read `Graph.masks` directly,
+so none of them builds a relabeled induced subgraph to work on.
 
 All functions here are pure; `Graph` instances never change after
 construction and are safe to share across threads.
@@ -124,36 +124,10 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel vertices: old vertex v becomes perm[v]. perm must be a
-    permutation of 0..n-1."""
-    if sorted(perm) != list(range(g.n)):
-        raise ParameterRangeError("perm is not a permutation of 0..n-1")
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph._from_masks(tuple(full ^ m ^ (1 << v)
                                    for v, m in enumerate(g.masks)))
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union; h's vertices are relabeled by offset g.n."""
-    off = g.n
-    edges = list(g.edges) + [(u + off, v + off) for u, v in h.edges]
-    return Graph(g.n + h.n, edges)
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Induced subgraph on the given vertices, preserving relative order."""
-    vs = sorted(set(vertices))
-    if vs and not (0 <= vs[0] and vs[-1] < g.n):
-        raise ParameterRangeError(f"vertex set out of range for n={g.n}")
-    index = {v: i for i, v in enumerate(vs)}
-    edges = [(index[u], index[v]) for u, v in g.edges
-             if u in index and v in index]
-    return Graph(len(vs), edges)
 
 
 def isolated_vertices(g: Graph) -> frozenset[int]:
@@ -177,6 +151,23 @@ def _components(masks: Sequence[int], w: int) -> list[int]:
         out.append(seen)
         w ^= seen
     return out
+
+
+def _pivot(masks: Sequence[int], w: int) -> tuple[int, int, int]:
+    """(live, x, deg) for the vertex mask w: live holds the vertices with a
+    neighbour in W, and x, a one-bit mask, is the least vertex of the
+    largest degree deg in G[W] (x = deg = 0 when W has no edge)."""
+    live = x = deg = 0
+    m = w
+    while m:
+        low = m & -m
+        d = (masks[low.bit_length() - 1] & w).bit_count()
+        if d:
+            live |= low
+            if d > deg:
+                deg, x = d, low
+        m ^= low
+    return live, x, deg
 
 
 def is_connected(g: Graph) -> bool:

@@ -287,12 +287,6 @@ def top_homology_degree(facets: Iterable[int], floor: int,
     return None
 
 
-def reduced_homology_dim(cx: SimplicialComplex, k: int,
-                         field: FieldSpec = GF2) -> int:
-    """dim H~_k(cx; field); 0 for any k outside the complex's range."""
-    return homology_dims(cx, field).get(k, 0)
-
-
 def reduced_euler_characteristic(cx: SimplicialComplex) -> int:
     """Alternating sum of face counts including the empty face; equals the
     alternating sum of reduced homology dimensions."""

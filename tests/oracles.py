@@ -13,16 +13,48 @@ against brute-force isomorphism, and checks the atlas's orbit pruning;
 `dual_regularity_full` builds every non-cone cover's complex with the
 package's `from_facets` and `homology_dims`, whose own tests check them
 against brute force, and checks the dual search's order and stops.
+
+`relabel`, `disjoint_union` and `induced_subgraph` are the graph
+transforms the tests build their inputs with; the package itself works
+on vertex masks of one graph and needs none of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable, Sequence
 
 from edgeideals.atlas import canonical_bits
+from edgeideals.errors import ParameterRangeError
 from edgeideals.graphs import Graph
 from edgeideals.homology import FieldSpec, SimplicialComplex, homology_dims
+
+
+def relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """Relabel vertices: old vertex v becomes perm[v]. perm must be a
+    permutation of 0..n-1."""
+    if sorted(perm) != list(range(g.n)):
+        raise ParameterRangeError("perm is not a permutation of 0..n-1")
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """Disjoint union; h's vertices are relabeled by offset g.n."""
+    off = g.n
+    edges = list(g.edges) + [(u + off, v + off) for u, v in h.edges]
+    return Graph(g.n + h.n, edges)
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Induced subgraph on the given vertices, preserving relative order."""
+    vs = sorted(set(vertices))
+    if vs and not (0 <= vs[0] and vs[-1] < g.n):
+        raise ParameterRangeError(f"vertex set out of range for n={g.n}")
+    index = {v: i for i, v in enumerate(vs)}
+    edges = [(index[u], index[v]) for u, v in g.edges
+             if u in index and v in index]
+    return Graph(len(vs), edges)
 
 
 def all_subsets(items):

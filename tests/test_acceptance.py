@@ -114,7 +114,7 @@ def test_criterion_4_golden_betti_tables():
 
 def test_criterion_5_spectrum_construction():
     t0 = time.perf_counter()
-    checks = verify_spectrum(14, GF2)
+    checks = verify_spectrum(14)
     bad = [c for c in checks if not c.ok]
     pairs = sum(1 for _ in checks)
     hom_checked = sum(1 for c in checks if c.pd is not None)

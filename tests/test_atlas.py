@@ -25,12 +25,12 @@ from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
 from edgeideals.gio import from_graph6, to_graph6
-from edgeideals.graphs import (Graph, disjoint_union, induced_subgraph,
-                               is_chordal, is_gap_free, isolated_vertices,
-                               relabel)
+from edgeideals.graphs import (Graph, is_chordal, is_gap_free,
+                               isolated_vertices)
 from edgeideals.homology import GF2, GF3, QQ
 from edgeideals.spectrum import cover_lower_bound
-from oracles import atlas_levels_unpruned
+from oracles import (atlas_levels_unpruned, disjoint_union, induced_subgraph,
+                     relabel)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 

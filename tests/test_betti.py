@@ -9,22 +9,20 @@ from edgeideals import betti as betti_module
 from edgeideals.atlas import enumerate_graphs, random_graph
 from edgeideals.betti import (_homology_table, _tensor, betti_json_dict,
                               betti_table, dual_check, dual_regularity,
-                              field_disagreements, hochster_summand,
-                              pd_and_reg, pd_reg_bounds, proj_dim,
-                              regularity, render_betti_ascii)
+                              field_disagreements, pd_and_reg,
+                              pd_reg_bounds, render_betti_ascii)
 from edgeideals.covers import induced_matching_number, matching_number, tau_max
 from edgeideals.errors import ParameterRangeError, ResourceLimitError
 from edgeideals.families import (complete_bipartite, complete_graph,
                                  cycle_graph, path_graph, pendant_clique,
                                  two_k2)
 from edgeideals.gio import from_graph6
-from edgeideals.graphs import (Graph, disjoint_union, induced_subgraph,
-                               is_chordal, isolated_vertices)
+from edgeideals.graphs import Graph, is_chordal, isolated_vertices
 from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, homology_dims,
                                  independence_complex)
 from edgeideals.spectrum import build_pdr_graph, pdr_range
-from oracles import (betti_table_naive, dual_regularity_full,
-                     dual_regularity_naive)
+from oracles import (betti_table_naive, disjoint_union, dual_regularity_full,
+                     dual_regularity_naive, induced_subgraph)
 
 # Golden tables, confirmed by the naive oracle in
 # test_goldens_confirmed_by_naive_oracle before being frozen here.
@@ -255,9 +253,10 @@ def test_folding_keeps_homology(case, c):
     field = FieldSpec(c)
     relabeled = independence_complex(induced_subgraph(g, w))
     unfolded = homology_dims(relabeled, field)
-    assert hochster_summand(g, w, field) == unfolded
+    mask = sum(1 << v for v in w)
+    assert _homology_table(g, mask, field)[-1] == unfolded
     # the same complex built on g's own labels, from the vertex mask of w
-    in_place = independence_complex(g, sum(1 << v for v in w))
+    in_place = independence_complex(g, mask)
     assert homology_dims(in_place, field) == unfolded
     assert ({k: len(f) for k, f in in_place.faces_by_dim.items()}
             == {k: len(f) for k, f in relabeled.faces_by_dim.items()})
@@ -341,8 +340,8 @@ def test_fast_path_matches_full_table(small_corpus):
 
 def test_known_pd_reg():
     for n in range(3, 10):
-        assert proj_dim(complete_bipartite(1, n - 1)) == n - 1
-    assert (proj_dim(pendant_clique(3)), regularity(pendant_clique(3))) == (4, 1)
+        assert pd_and_reg(complete_bipartite(1, n - 1))[0] == n - 1
+    assert pd_and_reg(pendant_clique(3)) == (4, 1)
     assert pd_and_reg(Graph(4)) == (0, 0)
     assert pd_and_reg(pendant_clique(2)) == (2, 1)
 
@@ -356,25 +355,18 @@ def test_pendant_clique_extremes():
 
 
 def test_hochster_summand():
-    k2 = complete_graph(2)
-    assert hochster_summand(k2, (0, 1)) == {0: 1}
+    # the inner Hochster term of W is the entry of W in the subset table
+    # over W itself
+    assert _homology_table(complete_graph(2), 0b11, GF2)[-1] == {0: 1}
     c4 = cycle_graph(4)
-    assert hochster_summand(c4, range(4)) == {0: 1}
+    assert _homology_table(c4, 0b1111, GF2)[-1] == {0: 1}
     # two pieces: Ind(2K2) = S^0 * S^0 = S^1
-    assert hochster_summand(two_k2(), range(4)) == {1: 1}
-    assert hochster_summand(c4, ()) == {-1: 1}
-    with pytest.raises(ParameterRangeError):
-        hochster_summand(c4, (0, 9))
-
-
-def test_hochster_summand_cap():
-    # |W| is held to the Betti cap before any subset is walked: W = C40
-    # is refused at once, while a 16-vertex W of it (the path P16) runs
-    c40 = cycle_graph(40)
-    with pytest.raises(ResourceLimitError, match="EDGEIDEALS_MAX_BETTI_N"):
-        hochster_summand(c40, range(40))
-    assert hochster_summand(c40, range(16)) == \
-        hochster_summand(path_graph(16), range(16))
+    assert _homology_table(two_k2(), 0b1111, GF2)[-1] == {1: 1}
+    assert _homology_table(c4, 0, GF2)[-1] == {-1: 1}
+    # a 16-vertex W of C40 is the path P16
+    p16 = (1 << 16) - 1
+    assert _homology_table(cycle_graph(40), p16, GF2)[-1] == \
+        _homology_table(path_graph(16), p16, GF2)[-1]
 
 
 def test_isolated_vertices_contribute_nothing():
@@ -461,7 +453,7 @@ def test_terai_on_corpus(isolate_free_corpus):
 
 def test_reg_between_induced_matching_and_matching(isolate_free_corpus):
     for g in isolate_free_corpus[:25]:
-        r = regularity(g)
+        _, r = pd_and_reg(g)
         assert induced_matching_number(g) <= r <= matching_number(g)
 
 
@@ -497,7 +489,7 @@ def test_chordal_equalities(isolate_free_corpus):
 
 def test_tau_le_pd_le_n_minus_1(isolate_free_corpus):
     for g in isolate_free_corpus[:25]:
-        pd = proj_dim(g)
+        pd, _ = pd_and_reg(g)
         assert tau_max(g) <= pd <= g.n - 1
 
 

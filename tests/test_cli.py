@@ -353,6 +353,7 @@ def test_successive_main_calls_share_no_state():
      "--seed", "1"),
     ("invariants", "--graph", "-", "--family", "c4"),
     ("betti", "--family", "c4", "--graph", "-"),
+    ("verify", "spectrum", "--n", "4", "--char", "3"),
 ])
 def test_flag_a_command_does_not_read_is_usage_error(argv):
     code, out, err = run_with_stdin(list(argv), to_graph6(cycle_graph(4)))
@@ -363,7 +364,7 @@ def test_flag_a_command_does_not_read_is_usage_error(argv):
 @pytest.mark.parametrize("harness, flags", [
     ("bound", {"--n", "--exhaustive", "--samples", "--seed"}),
     ("classification", {"--n"}),
-    ("spectrum", {"--n", "--char"}),
+    ("spectrum", {"--n"}),
     ("pdr-spec", {"--n", "--char", "--format"}),
 ])
 def test_verify_harness_help_lists_its_flags(capsys, harness, flags):

@@ -9,10 +9,10 @@ from edgeideals.errors import ParameterRangeError
 from edgeideals.families import (complete_graph, cycle_graph, path_graph,
                                  pendant_clique, two_k2)
 from edgeideals.graphs import (Graph, _bits, _chordal_separator, _components,
-                               complement, disjoint_union, induced_subgraph,
-                               is_bipartite, is_chordal, is_connected,
-                               is_gap_free, isolated_vertices, relabel)
-from oracles import is_chordal_bruteforce, least_separator_bruteforce
+                               complement, is_bipartite, is_chordal,
+                               is_connected, is_gap_free, isolated_vertices)
+from oracles import (disjoint_union, induced_subgraph, is_chordal_bruteforce,
+                     least_separator_bruteforce, relabel)
 
 
 def graph_strategy(max_n=7):

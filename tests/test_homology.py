@@ -9,7 +9,7 @@ from edgeideals.homology import (GF2, GF3, QQ, FieldSpec, SimplicialComplex,
                                  _boundary_rank, _rank_sparse, homology_dims,
                                  independence_complex,
                                  reduced_euler_characteristic,
-                                 reduced_homology_dim, top_homology_degree)
+                                 top_homology_degree)
 from oracles import (_rank_fraction, _rank_modp, all_subsets,
                      homology_dims_naive, independent_sets_bruteforce)
 
@@ -55,10 +55,10 @@ def test_independence_complex_faces_equal_bruteforce(small_corpus):
 
 def test_known_homology():
     two_points = SimplicialComplex.from_facets([0b01, 0b10])
-    assert reduced_homology_dim(two_points, 0) == 1
+    assert homology_dims(two_points).get(0, 0) == 1
     hollow = SimplicialComplex.from_facets([0b011, 0b110, 0b101])
-    assert reduced_homology_dim(hollow, 1) == 1
-    assert reduced_homology_dim(hollow, 0) == 0
+    assert homology_dims(hollow).get(1, 0) == 1
+    assert homology_dims(hollow).get(0, 0) == 0
     solid = SimplicialComplex.from_facets([0b1111])
     assert homology_dims(solid) == {}
     assert homology_dims(SimplicialComplex.from_facets([0])) == {-1: 1}
@@ -67,8 +67,8 @@ def test_known_homology():
 
 def test_out_of_range_dims_are_zero():
     cx = SimplicialComplex.from_facets([0b11])
-    assert reduced_homology_dim(cx, 5) == 0
-    assert reduced_homology_dim(cx, -2) == 0
+    assert homology_dims(cx).get(5, 0) == 0
+    assert homology_dims(cx).get(-2, 0) == 0
 
 
 def test_sphere_boundary_of_simplex():
