@@ -811,8 +811,8 @@ def verify_spectrum(n_max: int) -> list[SpectrumCheck]:
     betti.pd_and_reg. Each of these graphs is a split graph: a clique,
     and its leaves an independent set. So is its complement, with the
     roles swapped, and split graphs are chordal, so the pair is the
-    closed form of pd_reg_bounds, the same over every field, with no
-    subset visited; `edgeideals betti` gives the Hochster sum's pair."""
+    closed form for a chordal complement, the same over every field, with
+    no subset visited; `edgeideals betti` gives the Hochster sum's pair."""
     if n_max < 2:
         raise ParameterRangeError(
             f"verify_spectrum needs n_max >= 2, got {n_max}")
@@ -852,8 +852,8 @@ class PdrSpectrumReport:
     characteristic: int
     points: tuple[PdrPoint, ...]
     classes_visited: int
-    # classes settled with no sum: pd_reg_bounds gives a point box, by the
-    # closed form at reg 1 or by bounds that meet
+    # classes settled with no sum, by a closed form or by bounds that meet
+    # (the lazy order of betti.pd_and_reg)
     certified: int
 
     @property
@@ -882,9 +882,10 @@ def pdr_spectrum(n: int, field: FieldSpec = GF2) -> PdrSpectrumReport:
     """Compute (pd, reg) for every isolate-free isomorphism class on n
     vertices; the witness kept per pair is the first class encountered in
     enumeration order. Each pair comes from the path of betti.pd_and_reg:
-    a class whose box from betti.pd_reg_bounds is a point gets its pair
-    from it, the same over every field; only the others go through the
-    Hochster sum. n is held to the cap of enumerate_graphs
+    a class settled by a closed form or by bounds that meet, each lower
+    bound computed only when the verdict still depends on it, gets the
+    same pair over every field; only the others go through the Hochster
+    sum. n is held to the cap of enumerate_graphs
     (EDGEIDEALS_MAX_ENUM_N)."""
     if n < 2:
         raise ParameterRangeError(f"pdr_spectrum needs n >= 2, got {n}")

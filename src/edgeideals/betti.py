@@ -4,12 +4,12 @@ For a graph G on n vertices the table entry in homological degree i and
 internal degree j is the sum, over all j-subsets W of the vertices, of
 dim H~_{j-i-1} of the independence complex of G[W] over the chosen field.
 betti_table is the one place that sum is evaluated; pd and reg, the pair
-the cover bounds are about, come from pd_reg_bounds when its box is a
-point and are read off betti_table's table otherwise. Every component
-is a vertex mask of G itself, and the few complexes the sum builds are
-independence_complex(g, w), w the mask of W in G's labels, with no
-relabeling. Exact shortcuts that do not change any entry, over any
-field:
+the cover bounds are about, come from the box of pd_reg_bounds when it is
+a point, decided in the lazy order below, and are read off betti_table's
+table otherwise. Every component is a vertex mask of G itself, and the
+few complexes the sum builds are independence_complex(g, w), w the mask
+of W in G's labels, with no relabeling. Exact shortcuts that do not
+change any entry, over any field:
 
 * the sum factors over components: S/I(G + H) is the tensor product of
   S/I(G) and S/I(H) over disjoint sets of variables, so the Betti
@@ -69,8 +69,8 @@ pd_reg_bounds boxes pd and reg without visiting a subset, over every field:
   chordality and gives kappa. Every other G with an edge has reg >= 2;
 * pd >= tau_max: pd(S/I) is at least bight(I), the largest height of a
   minimal prime, and the minimal primes of I(G) are the minimal vertex
-  covers; reg >= the induced matching number (Katzman, J. Combin. Theory
-  Ser. A 113, 2006);
+  covers; reg >= the induced matching number nu (Katzman, J. Combin.
+  Theory Ser. A 113, 2006);
 * for a non-isolated x the exact sequence
   0 -> S/(I : x)(-1) -> S/I -> S/(I, x) -> 0, with (I : x) = (I(G - N[x]),
   N(x)) and (I, x) = (I(G - x), x), gives
@@ -85,6 +85,29 @@ is a bound, not an identity: reg(G - N[x]) + 1 <= reg(G) fails in
 general, and the flag RP^2 graph JhW[X`LtKF? (reg 3 over GF(2), 2 over
 Q) has the box pd in [8, 9], reg in [2, 3], which holds both fields'
 pairs.
+
+pd_and_reg only asks whether the box is a point, and answers it lazily,
+each lower bound computed only when the answer still depends on it:
+
+1. an edgeless G gives (0, 0), and a chordal complement the closed form
+   (n - 1 - kappa, 1);
+2. otherwise the recursion gives (pd_hi, reg_hi);
+3. reg: if reg_hi = 2, reg is pinned with no nu. Otherwise nu is
+   computed, and if nu < reg_hi the pair goes to the sum with no pd check;
+4. pd: for S the greedy maximal independent set of
+   covers._greedy_independent, if n - |S| = pd_hi, pd is pinned with no
+   tau_max. Otherwise tau_max is computed, and if tau_max < pd_hi the
+   pair goes to the sum.
+
+Proof that the verdict and the pair are the box's: V - S is a minimal
+cover, so n - |S| <= tau_max <= pd <= pd_hi, and
+max(2, nu) <= reg <= reg_hi, reg >= 2 by Froberg as step 1 leaves only
+graphs with an edge and a complement that is not chordal. The box is a point exactly when
+tau_max = pd_hi and max(2, nu) = reg_hi. If reg_hi = 2 the second
+equality holds whatever nu is, as 2 <= max(2, nu) <= reg_hi; if
+reg_hi > 2 it holds exactly when nu = reg_hi. If n - |S| = pd_hi the
+first is squeezed to hold whatever tau_max is; otherwise tau_max decides
+it. On a point the pair is (pd_hi, reg_hi).
 
 dual_regularity gives the cover-ideal side used by dual_check: the largest
 k + 1 with H~_k nonzero over the complexes K_W of non-covers restricted
@@ -112,8 +135,7 @@ from math import comb
 
 from . import covers
 from .errors import ParameterRangeError, ResourceLimitError, resolve_cap
-from .graphs import (Graph, _bits, _chordal_separator, _components, _pivot,
-                     complement)
+from .graphs import Graph, _bits, _chordal_separator, _components, _pivot
 from .homology import (GF2, FieldSpec, homology_dims, independence_complex,
                        top_homology_degree)
 
@@ -287,47 +309,53 @@ def betti_table(g: Graph, field: FieldSpec = GF2) -> BettiTable:
 
 def _certified_pd_and_reg(g: Graph, field: FieldSpec
                           ) -> tuple[tuple[int, int], bool]:
-    """((pd, reg), summed): the pair from pd_reg_bounds when its box is a
-    point, the same over every field, and else from betti_table over
-    field; summed says whether the subset sum ran."""
-    pd_lo, pd_hi, reg_lo, reg_hi = pd_reg_bounds(g)
-    if pd_lo == pd_hi and reg_lo == reg_hi:
-        return (pd_lo, reg_lo), False
+    """((pd, reg), summed): the point of pd_reg_bounds' box when it is one,
+    the same over every field, and else the pair of betti_table over
+    field; summed says whether the subset sum ran. Whether the box is a
+    point is decided in the lazy order of the module docstring: a lower
+    bound is computed only while the verdict still depends on it."""
+    _check_cap(g.n, "pd_and_reg")
+    pair = _closed_form(g)
+    if pair is not None:
+        return pair, False
+    pd_hi, reg_hi = _upper_bounds(g)
+    if ((reg_hi == 2 or covers.induced_matching_number(g) == reg_hi)
+            and (g.n - covers._greedy_independent(g.masks).bit_count() == pd_hi
+                 or covers.tau_max(g) == pd_hi)):
+        return (pd_hi, reg_hi), False
     t = betti_table(g, field)
     return (t.pd, t.reg), True
 
 
 def pd_and_reg(g: Graph, field: FieldSpec = GF2) -> tuple[int, int]:
-    """(projective dimension, regularity) of S/I(G): the point box of
-    pd_reg_bounds when its bounds meet, with no subset visited, and else
-    the largest i and j - i among the nonzero entries of betti_table."""
+    """(projective dimension, regularity) of S/I(G): the point of
+    pd_reg_bounds' box when it is one, found with no subset visited and
+    no lower bound computed that the verdict does not need, and else the
+    largest i and j - i among the nonzero entries of betti_table."""
     return _certified_pd_and_reg(g, field)[0]
 
 
-def pd_reg_bounds(g: Graph) -> tuple[int, int, int, int]:
-    """(pd_lo, pd_hi, reg_lo, reg_hi): exact bounds on pd and reg of S/I(G)
-    over every field, with no subset visited (see the module docstring).
-
-    An edgeless g gives (0, 0, 0, 0). When the complement of g is chordal
-    (one maximum cardinality search on its masks), the box is the point
-    (n - 1 - kappa, n - 1 - kappa, 1, 1), kappa the size of a least
-    minimal separator of the complement. Otherwise reg >= 2 (Froberg),
-    and the lower bounds are tau_max and the larger of 2 and the induced
-    matching number. The upper bounds recurse on vertex masks of g, one
-    memo per call: isolated vertices are dropped, an edgeless mask gives
-    (0, 0), and otherwise the least vertex x of largest degree is the
-    pivot, with
-    pd <= max(pd(G - N[x]) + deg x, pd(G - x) + 1) and
-    reg <= max(reg(G - x), reg(G - N[x]) + 1). The cap is betti_table's,
-    set by EDGEIDEALS_MAX_BETTI_N."""
-    _check_cap(g.n, "pd_reg_bounds")
+def _closed_form(g: Graph) -> tuple[int, int] | None:
+    """(pd, reg) with no bound: (0, 0) for an edgeless g, (n - 1 - kappa, 1)
+    when the complement of g is chordal (one maximum cardinality search on
+    its masks), kappa the size of a least minimal separator of the
+    complement, and None otherwise."""
     masks = g.masks
     if not any(masks):
-        return 0, 0, 0, 0
-    kappa = _chordal_separator(complement(g).masks)
-    if kappa is not None:
-        pd = g.n - 1 - kappa
-        return pd, pd, 1, 1
+        return 0, 0
+    full = (1 << g.n) - 1
+    kappa = _chordal_separator([full ^ m ^ (1 << v)
+                                for v, m in enumerate(masks)])
+    return None if kappa is None else (g.n - 1 - kappa, 1)
+
+
+def _upper_bounds(g: Graph) -> tuple[int, int]:
+    """(pd_hi, reg_hi) by the pivot recursion on vertex masks of g, one memo
+    per call: isolated vertices are dropped, an edgeless mask gives (0, 0),
+    and otherwise the least vertex x of largest degree is the pivot, with
+    pd <= max(pd(G - N[x]) + deg x, pd(G - x) + 1) and
+    reg <= max(reg(G - x), reg(G - N[x]) + 1)."""
+    masks = g.masks
     memo: dict[int, tuple[int, int]] = {}
 
     def upper(w: int) -> tuple[int, int]:
@@ -342,7 +370,23 @@ def pd_reg_bounds(g: Graph) -> tuple[int, int, int, int]:
                                 max(reg_del, reg_link + 1))
         return hit
 
-    pd_hi, reg_hi = upper((1 << g.n) - 1)
+    return upper((1 << g.n) - 1)
+
+
+def pd_reg_bounds(g: Graph) -> tuple[int, int, int, int]:
+    """(pd_lo, pd_hi, reg_lo, reg_hi): exact bounds on pd and reg of S/I(G)
+    over every field, with no subset visited (see the module docstring).
+
+    The pair of _closed_form, when there is one, is the point box.
+    Otherwise reg >= 2 (Froberg), the lower bounds are tau_max and the
+    larger of 2 and the induced matching number, and the upper bounds are
+    those of _upper_bounds. The cap is betti_table's, set by
+    EDGEIDEALS_MAX_BETTI_N."""
+    _check_cap(g.n, "pd_reg_bounds")
+    pair = _closed_form(g)
+    if pair is not None:
+        return pair[0], pair[0], pair[1], pair[1]
+    pd_hi, reg_hi = _upper_bounds(g)
     return (covers.tau_max(g), pd_hi,
             max(2, covers.induced_matching_number(g)), reg_hi)
 

@@ -99,6 +99,10 @@ def build_spectrum_graph(n: int, p: int) -> Graph:
     """
     if n < 2:
         raise ParameterRangeError(f"need n >= 2, got {n}")
+    low = cover_lower_bound(n)
+    if not low <= p <= n - 1:
+        raise ParameterRangeError(
+            f"p={p} outside the legal interval [{low}, {n - 1}] for n={n}")
     if p == n - 1:
         return Graph(n, [(0, v) for v in range(1, n)])
     plan = plan_spectrum(n, p)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeideals import betti as betti_module
+from edgeideals import covers as covers_module
 from edgeideals.atlas import enumerate_graphs, random_graph
-from edgeideals.betti import (_homology_table, _tensor, betti_json_dict,
-                              betti_table, dual_check, dual_regularity,
+from edgeideals.betti import (_certified_pd_and_reg, _homology_table,
+                              _tensor, betti_json_dict, betti_table,
+                              dual_check, dual_regularity,
                               field_disagreements, pd_and_reg,
                               pd_reg_bounds, render_betti_ascii)
 from edgeideals.covers import induced_matching_number, matching_number, tau_max
@@ -590,6 +592,37 @@ def test_pd_reg_bounds_leave_flag_rp2_graph_unpinned():
     # reg(G - N[x]) + 1) is a bound, and no recursion on it can be exact
     g = from_graph6("JhW[X`LtKF?")
     assert pd_reg_bounds(g) == (8, 9, 2, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, pytest.param(
+    8, marks=pytest.mark.acceptance)])
+def test_certified_path_sums_exactly_where_the_box_is_open(n):
+    # the lazy order decides "is the box a point?" as the whole box does
+    for g in enumerate_graphs(n, "no-isolated"):
+        pd_lo, pd_hi, reg_lo, reg_hi = pd_reg_bounds(g)
+        point = pd_lo == pd_hi and reg_lo == reg_hi
+        pair, summed = _certified_pd_and_reg(g, GF2)
+        assert summed != point, g.edges
+        if point:
+            assert pair == (pd_lo, reg_lo), g.edges
+
+
+def test_certified_path_computes_only_the_lower_bounds_it_needs(monkeypatch):
+    calls = {"tau_max": 0, "induced_matching_number": 0}
+    for name in calls:
+        def counted(g, name=name, real=getattr(covers_module, name)):
+            calls[name] += 1
+            return real(g)
+        monkeypatch.setattr(covers_module, name, counted)
+    # C5, box (3, 3, 2, 2): reg_hi = 2 pins reg, and the greedy set {0, 2}
+    # leaves a minimal cover of 3 = pd_hi vertices
+    assert _certified_pd_and_reg(cycle_graph(5), GF2) == ((3, 2), False)
+    assert calls == {"tau_max": 0, "induced_matching_number": 0}
+    # the flag RP^2 graph, box (8, 9, 2, 3): nu = 2 < reg_hi leaves reg
+    # open, so the pair is summed without a pd check
+    g = from_graph6("JhW[X`LtKF?")
+    assert _certified_pd_and_reg(g, GF2) == ((9, 3), True)
+    assert calls == {"tau_max": 0, "induced_matching_number": 1}
 
 
 def test_render_and_json():

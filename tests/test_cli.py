@@ -371,3 +371,14 @@ def test_verify_harness_help_lists_its_flags(capsys, harness, flags):
     code, out, _ = run(capsys, "verify", harness, "-h")
     assert code == 0 and out.startswith(f"usage: edgeideals verify {harness}")
     assert set(re.findall(r"--[a-z-]+", out)) == flags | {"--help"}
+
+
+def test_construct_spectrum_reports_its_own_interval(capsys):
+    # p = n - 1 is the star, so the interval ends at n - 1, not n - 2
+    for n, p, low in ((10, 10, 5), (2, 0, 1)):
+        code, out, err = run(capsys, "construct", "spectrum", str(n), str(p))
+        assert (code, out, err) == (1, "", (
+            f"usage error: p={p} outside the legal interval "
+            f"[{low}, {n - 1}] for n={n}\n"))
+    code, out, _ = run(capsys, "construct", "spectrum", "10", "9")
+    assert code == 0 and from_graph6(out.strip()).m == 9
