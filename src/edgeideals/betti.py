@@ -29,8 +29,8 @@ change any entry, over any field:
   neighbours of c in C(d-1, k) ways, each shifting (i, j) by
   (1 + k, 2 + k). Both masks are split into components and split
   again; a component with no leaf goes to the subset table;
-* a leafless component M of m vertices gets one table hs of the nonzero
-  reduced homology of Ind(G[W]) for each of its 2^m subsets W, each entry
+* a leafless component M of m vertices gets one table of the reduced
+  homology of Ind(G[W]) for each of its 2^m subsets W, each entry
   read off two smaller ones by a split at a vertex (Adamaszek, J. Combin.
   Theory Ser. A 119, 2012). Take any x in W. In X = Ind(G[W]) the faces
   without x form D = Ind(G[W - x]), those with x the cone x * L over
@@ -48,10 +48,15 @@ change any entry, over any field:
   degree in M, ties by label, and W runs over the local masks in
   ascending order, so W - x and W - N[x], proper submasks, are filled
   before W. The x are tried from W's top vertex down: first one of
-  largest degree in M, whose link W - N[x] is the smallest. hs holds 2^m
-  entries, the empty subset's being {-1: 1} and every cone's one shared
-  empty value, and each nonzero entry of W adds dim H~_k to
-  beta_{|W|-1-k, |W|}.
+  largest degree in M, whose link W - N[x] is the smallest. An entry is
+  two ints: sup has bit k + 1 set when H~_k is nonzero, and val holds
+  dim H~_k in bits sh (k + 1) and up, sh = 2m + 1; the empty subset is
+  1 in both, a cone 0. The split tests sup_L & sup_D and sets
+  sup_D | sup_L << 1 and val_D + (val_L << sh). The sum adds the vals
+  into one int per size |W|, whose k-th field is beta_{|W|-1-k, |W|}.
+  No field carries: dim H~_k <= f_k <= C(|W|, k + 1), the k-faces being
+  (k + 1)-sets, and sum_W C(|W|, k + 1) = C(m, k + 1) 2^(m-k-1) <= 2^(2m)
+  < 2^sh, counting the pairs F <= W with |F| = k + 1.
 
 pd_reg_bounds boxes pd and reg without visiting a subset, over every field:
 
@@ -189,18 +194,22 @@ class DualReport:
 
 
 def _homology_table(g: Graph, w: int, field: FieldSpec
-                    ) -> list[dict[int, int]]:
-    """hs[s] for each subset W of the vertex mask w: the nonzero reduced
-    homology of Ind(G[W]), s the local mask of W, with bit i for the i-th
-    vertex of w by ascending degree in G[w], ties by label (see the module
-    docstring). Entries are shared, so none may be changed."""
+                    ) -> tuple[int, list[int]]:
+    """(sh, val): val[s] packs H~(Ind(G[W])) for each subset W of the
+    vertex mask w, dim H~_k in bits sh * (k + 1) and up, sh = 2m + 1 for
+    the m vertices of w, and s the local mask of W: bit i for the i-th
+    vertex of w by ascending degree in G[w], ties by label. The split
+    reads sup[s], with bit k + 1 set when H~_k is nonzero (see the module
+    docstring)."""
     masks = g.masks
     verts = sorted(_bits(w), key=lambda v: ((masks[v] & w).bit_count(), v))
     nbrs = [sum(1 << i for i, u in enumerate(verts) if masks[v] >> u & 1)
             for v in verts]
-    hs: list[dict[int, int]] = [{}] * (1 << len(verts))
-    hs[0] = {-1: 1}
-    for s in range(1, len(hs)):
+    sh = 2 * len(verts) + 1
+    sup = [0] * (1 << len(verts))
+    val = sup[:]
+    sup[0] = val[0] = 1
+    for s in range(1, len(sup)):
         rest = s
         while rest:
             y = rest.bit_length() - 1
@@ -208,36 +217,48 @@ def _homology_table(g: Graph, w: int, field: FieldSpec
             if not nb:
                 break  # a cone
             bit = 1 << y
-            dele, link = hs[s ^ bit], hs[s & ~nb ^ bit]
-            if not link:
-                hs[s] = dele
+            dele, link = s ^ bit, s & ~nb ^ bit
+            if not sup[link]:  # L acyclic: share D's ints, not a copy
+                sup[s], val[s] = sup[dele], val[dele]
                 break
-            if link.keys().isdisjoint(dele):
-                out = dict(dele)
-                for k, dim in link.items():
-                    out[k + 1] = out.get(k + 1, 0) + dim
-                hs[s] = out
+            if not sup[link] & sup[dele]:
+                sup[s] = sup[dele] | sup[link] << 1
+                val[s] = val[dele] + (val[link] << sh)
                 break
             rest ^= bit
         else:
-            hs[s] = homology_dims(independence_complex(
+            dims = homology_dims(independence_complex(
                 g, sum(1 << v for i, v in enumerate(verts) if s >> i & 1)),
                 field)
-    return hs
+            sup[s] = sum(1 << k + 1 for k in dims)
+            val[s] = sum(dim << sh * (k + 1) for k, dim in dims.items())
+    return sh, val
+
+
+def _unpack(v: int, sh: int) -> dict[int, int]:
+    """{k: dim H~_k} of a packed value of _homology_table."""
+    out = {}
+    low = (1 << sh) - 1
+    k = -1
+    while v:
+        if v & low:
+            out[k] = v & low
+        v >>= sh
+        k += 1
+    return out
 
 
 def _subset_sum(g: Graph, comp: int, field: FieldSpec
                 ) -> dict[tuple[int, int], int]:
-    """Hochster's sum over the subsets W of the vertex mask comp, read off
-    the subset table of _homology_table."""
-    entries: dict[tuple[int, int], int] = {}
-    for s, h in enumerate(_homology_table(g, comp, field)):
-        if h:
-            j = s.bit_count()
-            for k, dim in h.items():
-                key = (j - 1 - k, j)
-                entries[key] = entries.get(key, 0) + dim
-    return entries
+    """Hochster's sum over the subsets W of the vertex mask comp: the vals
+    of _homology_table added into one int per size |W|."""
+    sh, val = _homology_table(g, comp, field)
+    acc = [0] * (comp.bit_count() + 1)
+    for s, v in enumerate(val):
+        if v:
+            acc[s.bit_count()] += v
+    return {(j - 1 - k, j): dim for j, a in enumerate(acc)
+            for k, dim in _unpack(a, sh).items()}
 
 
 def _tensor(a: dict[tuple[int, int], int],

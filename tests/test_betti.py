@@ -9,7 +9,7 @@ from edgeideals import betti as betti_module
 from edgeideals import covers as covers_module
 from edgeideals.atlas import enumerate_graphs, random_graph
 from edgeideals.betti import (_certified_pd_and_reg, _homology_table,
-                              _tensor, betti_json_dict, betti_table,
+                              _tensor, _unpack, betti_json_dict, betti_table,
                               dual_check, dual_regularity,
                               field_disagreements, pd_and_reg,
                               pd_reg_bounds, render_betti_ascii)
@@ -108,8 +108,15 @@ def _table_by_mask(g, field):
     i of a local mask is the i-th vertex by ascending degree, ties by
     label."""
     order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
-    return {sum(1 << v for i, v in enumerate(order) if s >> i & 1): h
-            for s, h in enumerate(_homology_table(g, (1 << g.n) - 1, field))}
+    sh, val = _homology_table(g, (1 << g.n) - 1, field)
+    return {sum(1 << v for i, v in enumerate(order) if s >> i & 1):
+            _unpack(packed, sh) for s, packed in enumerate(val)}
+
+
+def _whole(g, w, field):
+    """The subset table's entry for W = w itself, unpacked."""
+    sh, val = _homology_table(g, w, field)
+    return _unpack(val[-1], sh)
 
 
 def _plain_sum(g, field):
@@ -230,6 +237,17 @@ def test_complete_bipartite_closed_form():
                 assert t.entries == want, (m, k, field)
 
 
+def test_complete_graph_sums_wider_than_2_to_the_m():
+    # Ind(K_n[W]) is |W| points, so beta_{i,i+1} = i C(n, i + 1); these
+    # per-size sums of H~_0 pass 2^n (1,050 > 2^10 at i = 5, n = 10), so
+    # a packing of the subset table with only n bits per degree carries
+    for n in (10, 12):
+        want = {(0, 0): 1,
+                **{(i, i + 1): i * comb(n, i + 1) for i in range(1, n)}}
+        for field in (GF2, GF3, QQ):
+            assert betti_table(complete_graph(n), field).entries == want
+
+
 def test_star_betti_numbers_are_binomial():
     # I(K_{1,k}) = x (y_1, .., y_k), a shifted Koszul complex:
     # beta_{i,i+1} = C(k, i) for 1 <= i <= k, and nothing else past (0, 0)
@@ -256,7 +274,7 @@ def test_folding_keeps_homology(case, c):
     relabeled = independence_complex(induced_subgraph(g, w))
     unfolded = homology_dims(relabeled, field)
     mask = sum(1 << v for v in w)
-    assert _homology_table(g, mask, field)[-1] == unfolded
+    assert _whole(g, mask, field) == unfolded
     # the same complex built on g's own labels, from the vertex mask of w
     in_place = independence_complex(g, mask)
     assert homology_dims(in_place, field) == unfolded
@@ -359,16 +377,16 @@ def test_pendant_clique_extremes():
 def test_hochster_summand():
     # the inner Hochster term of W is the entry of W in the subset table
     # over W itself
-    assert _homology_table(complete_graph(2), 0b11, GF2)[-1] == {0: 1}
+    assert _whole(complete_graph(2), 0b11, GF2) == {0: 1}
     c4 = cycle_graph(4)
-    assert _homology_table(c4, 0b1111, GF2)[-1] == {0: 1}
+    assert _whole(c4, 0b1111, GF2) == {0: 1}
     # two pieces: Ind(2K2) = S^0 * S^0 = S^1
-    assert _homology_table(two_k2(), 0b1111, GF2)[-1] == {1: 1}
-    assert _homology_table(c4, 0, GF2)[-1] == {-1: 1}
+    assert _whole(two_k2(), 0b1111, GF2) == {1: 1}
+    assert _whole(c4, 0, GF2) == {-1: 1}
     # a 16-vertex W of C40 is the path P16
     p16 = (1 << 16) - 1
-    assert _homology_table(cycle_graph(40), p16, GF2)[-1] == \
-        _homology_table(path_graph(16), p16, GF2)[-1]
+    assert _whole(cycle_graph(40), p16, GF2) == \
+        _whole(path_graph(16), p16, GF2)
 
 
 def test_isolated_vertices_contribute_nothing():
